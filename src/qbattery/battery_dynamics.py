@@ -6,6 +6,14 @@ stored at time t is measured against the battery Hamiltonian and the power is
 ``W(t)/t``.  Each sampled time uses the full propagator from t = 0 (never a
 chained product of short steps), so snapshots carry no accumulated stepping
 error.
+
+Grid points, golden-section refinement, single snapshots and the ergotropy
+traces all go through one propagation path with two kernels.  A charger that
+is a sum of one identical 2x2 term per site (the local PT charger and its
+Hermitian twin, which carry ``site_term``) propagates as the exact product
+K(t) = k(t)^(x)N, with k(t) in closed form, including at the exceptional
+point; this costs O(N 2^N) per time for a vector.  Every other charger (the
+RT ring, user matrices) uses a batched dense Pade-13 exponential.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_linalg import expm_array, hermitian_eig
-from .errors import ConsistencyError, NormalizationUnderflowError
+from .dense_linalg import expm_batch, hermitian_eig
+from .errors import ConsistencyError, NormalizationUnderflowError, NumericRangeError
 from .model_builders import (
     BatterySpec,
     ChargerSpec,
@@ -47,6 +55,7 @@ class PowerTrace:
     ergotropy: np.ndarray
     t_star: float
     p_max: float
+    t_star_at_edge: bool
 
 
 @dataclass(frozen=True)
@@ -82,29 +91,93 @@ def _energy(h_mat: np.ndarray, state: QuantumState) -> float:
     return _realize(val, "energy expectation")
 
 
+def _site_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i h t) of a 2x2 ``h`` at each time, in closed form.
+
+    With tau = tr(h)/2 and h0 = h - tau I, Cayley-Hamilton gives
+    h0^2 = w^2 I with w^2 = -det(h0), so
+    exp(-i h t) = e^(-i tau t) [cos(w t) I - i (sin(w t)/w) h0].  The series
+    sin(w t)/w is t at w = 0, the exceptional point where h0 is defective, so
+    the form is exact there too.
+    """
+    tau = 0.5 * (h[0, 0] + h[1, 1])
+    h0 = h - tau * np.eye(2)
+    w = np.sqrt(complex(h0[0, 1] * h0[1, 0] - h0[0, 0] * h0[1, 1]))
+    sin_over_w = np.sin(w * times) / w if w != 0 else times.astype(complex)
+    k = np.cos(w * times)[:, None, None] * np.eye(2) - 1j * sin_over_w[:, None, None] * h0
+    return np.exp(-1j * tau * times)[:, None, None] * k
+
+
+def _product_kernel(term: np.ndarray, n: int, rho0: QuantumState, times: np.ndarray) -> np.ndarray:
+    """Unnormalized k(t)^(x)n applied to rho0: N two-by-two contractions per
+    time for a vector, and N more with conj(k) on the column index for a
+    density matrix."""
+    k = _site_propagators(term, times)
+    m = times.size
+    factors = [k] * n if rho0.is_pure else [k] * n + [k.conj()] * n
+    out = np.broadcast_to(rho0.data, (m,) + rho0.data.shape)
+    for r, kr in enumerate(factors):
+        out = np.einsum("kab,klbr->klar", kr, out.reshape(m, 2**r, 2, -1))
+    return out.reshape((m,) + rho0.data.shape)
+
+
+def _dense_kernel(h_mat: np.ndarray, rho0: QuantumState, times: np.ndarray) -> np.ndarray:
+    """Unnormalized exp(-i H t) rho0 (exp(-i H t))^dag from a batched Pade
+    exponential."""
+    props = expm_batch((-1j * times)[:, None, None] * h_mat[None, :, :])
+    if rho0.is_pure:
+        return np.einsum("kij,j->ki", props, rho0.data)
+    return props @ rho0.data @ props.conj().transpose(0, 2, 1)
+
+
+def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
+    """Yield ``(slice, states)``: the normalized states evolved from ``rho0``
+    to each of ``times``, each from t = 0.
+
+    States are (m, d) unit vectors for a pure ``rho0`` and (m, d, d) Hermitian
+    unit-trace matrices otherwise.  A charger with a ``site_term`` propagates
+    as the exact per-site product; any other by the dense Pade exponential.
+    Times go in chunks that bound the kernel's working memory.
+    """
+    term = h_charge.site_term
+    per_time = rho0.data.size if term is not None else rho0.dim**2
+    chunk = max(1, _CHUNK_ELEMS // per_time)
+    for start in range(0, times.size, chunk):
+        sl = slice(start, min(start + chunk, times.size))
+        if term is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                states = _product_kernel(term, h_charge.n_sites, rho0, times[sl])
+        else:
+            states = _dense_kernel(h_charge.matrix, rho0, times[sl])
+        if rho0.is_pure:
+            scale = np.real(np.einsum("ki,ki->k", states.conj(), states))
+        else:
+            scale = np.real(np.einsum("kii->k", states))
+        if not np.all(np.isfinite(scale)):
+            raise NumericRangeError("evolved state overflowed")
+        worst = int(np.argmin(scale))
+        if scale[worst] < _TRACE_FLOOR:
+            raise NormalizationUnderflowError(
+                f"evolved norm underflow at t={times[sl][worst]} (unphysical parameters)"
+            )
+        if rho0.is_pure:
+            states /= np.sqrt(scale)[:, None]
+        else:
+            states /= scale[:, None, None]
+            states = 0.5 * (states + states.conj().transpose(0, 2, 1))
+        yield sl, states
+
+
 def evolve_normalized(h_charge: Operator, rho0: QuantumState, t: float) -> QuantumState:
     """Propagate with exp(-i H t) and renormalize."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if rho0.dim != h_charge.dim:
         raise ValueError("state and charger dimensions differ")
-    k = expm_array(-1j * t * h_charge.matrix)
+    _, states = next(_evolve(h_charge, rho0, np.array([float(t)])))
     if rho0.is_pure:
-        phi = k @ rho0.data
-        nrm2 = float(np.real(phi.conj() @ phi))
-        if nrm2 < _TRACE_FLOOR:
-            raise NormalizationUnderflowError(
-                f"evolved norm underflow at t={t} (unphysical parameters)"
-            )
-        return QuantumState.pure(phi / math.sqrt(nrm2))
-    sig = k @ rho0.data @ k.conj().T
-    tr = float(np.real(np.trace(sig)))
-    if tr < _TRACE_FLOOR:
-        raise NormalizationUnderflowError(
-            f"evolved trace underflow at t={t} (unphysical parameters)"
-        )
-    sig = 0.5 * (sig + sig.conj().T) / tr
-    return QuantumState.density(sig)
+        return QuantumState.pure(states[0])
+    return QuantumState.density(states[0])
 
 
 def work(h_b: Operator, rho0: QuantumState, rho_t: QuantumState) -> float:
@@ -135,11 +208,39 @@ def ergotropy(h_b: Operator, rho: QuantumState) -> float:
     return energy - _passive_energy(levels, pops)
 
 
-def _batch_propagators(h_mat: np.ndarray, times: np.ndarray) -> np.ndarray:
-    from .dense_linalg import _expm_chunk
+def work_and_ergotropy(
+    h_b: Operator, h_charge: Operator, rho0: QuantumState, times
+) -> tuple[np.ndarray, np.ndarray]:
+    """Work and ergotropy of the normalized evolved state at each of ``times``.
 
-    stack = (-1j * times)[:, None, None] * h_mat[None, :, :]
-    return _expm_chunk(stack)
+    Every time is propagated independently from t = 0.  For a pure state the
+    ergotropy is the energy above the ground level; for a density matrix it
+    pairs the evolved populations with the battery levels.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(times < 0):
+        raise ValueError("times must be a 1-d array of values >= 0")
+    if not (h_b.dim == h_charge.dim == rho0.dim):
+        raise ValueError("battery, charger and state dimensions differ")
+    h_mat = h_b.matrix
+    levels = hermitian_eig(h_b, compute_vectors=False).values
+    e_init = _energy(h_mat, rho0)
+    work_vals = np.empty(times.size)
+    ergo_vals = np.empty(times.size)
+    for sl, states in _evolve(h_charge, rho0, times):
+        if rho0.is_pure:
+            expect = np.einsum("ki,ki->k", states.conj(), states @ h_mat.T)
+            passive = levels[0]
+        else:
+            expect = np.einsum("kij,ji->k", states, h_mat)
+            passive = np.array([
+                _passive_energy(levels, hermitian_eig(sig, compute_vectors=False).values[::-1])
+                for sig in states
+            ])
+        expect = _realize_array(expect, "work expectation")
+        work_vals[sl] = expect - e_init
+        ergo_vals[sl] = expect - passive
+    return work_vals, ergo_vals
 
 
 def power_trace(
@@ -153,52 +254,17 @@ def power_trace(
 
     The best grid point is refined by golden-section search in its bracketing
     interval; ties go to smaller t.  Every grid propagator is built
-    independently from t = 0.
+    independently from t = 0.  ``t_star_at_edge`` flags a grid maximum at
+    t_max, where the true maximum may lie beyond the window.
     """
     if t_max <= 0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
     if n_grid < 16:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")
-    if not (h_b.dim == h_charge.dim == rho0.dim):
-        raise ValueError("battery, charger and state dimensions differ")
     h_mat = h_b.matrix
-    d = h_b.dim
     times = t_max * np.arange(1, n_grid + 1) / n_grid
-    levels = hermitian_eig(h_b, compute_vectors=False).values
+    work_vals, ergo_vals = work_and_ergotropy(h_b, h_charge, rho0, times)
     e_init = _energy(h_mat, rho0)
-
-    work_vals = np.empty(n_grid)
-    ergo_vals = np.empty(n_grid)
-    chunk = max(1, _CHUNK_ELEMS // (d * d))
-    for start in range(0, n_grid, chunk):
-        sl = slice(start, min(start + chunk, n_grid))
-        props = _batch_propagators(h_charge.matrix, times[sl])
-        if rho0.is_pure:
-            phi = np.einsum("kij,j->ki", props, rho0.data)
-            nrm2 = np.real(np.einsum("ki,ki->k", phi.conj(), phi))
-            if np.min(nrm2) < _TRACE_FLOOR:
-                raise NormalizationUnderflowError("evolved norm underflow on grid")
-            phi /= np.sqrt(nrm2)[:, None]
-            expect = _realize_array(
-                np.einsum("ki,ki->k", phi.conj(), phi @ h_mat.T),
-                "work expectation",
-            )
-            work_vals[sl] = expect - e_init
-            ergo_vals[sl] = expect - levels[0]
-        else:
-            sig = props @ rho0.data @ props.conj().transpose(0, 2, 1)
-            traces = np.real(np.einsum("kii->k", sig))
-            if np.min(traces) < _TRACE_FLOOR:
-                raise NormalizationUnderflowError("evolved trace underflow on grid")
-            sig /= traces[:, None, None]
-            sig = 0.5 * (sig + sig.conj().transpose(0, 2, 1))
-            expect = _realize_array(
-                np.einsum("kij,ji->k", sig, h_mat), "work expectation"
-            )
-            work_vals[sl] = expect - e_init
-            for i in range(sig.shape[0]):
-                pops = hermitian_eig(sig[i], compute_vectors=False).values[::-1]
-                ergo_vals[sl.start + i] = expect[i] - _passive_energy(levels, pops)
 
     power_vals = work_vals / times
     k_star = int(np.argmax(power_vals))
@@ -224,6 +290,7 @@ def power_trace(
         ergotropy=ergo_vals,
         t_star=t_star,
         p_max=p_max,
+        t_star_at_edge=k_star == n_grid - 1,
     )
 
 

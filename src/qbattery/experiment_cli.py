@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form_oracles as oracles
-from .battery_dynamics import delta_p_max, ergotropy, evolve_normalized, work
+from .battery_dynamics import delta_p_max, evolve_normalized, work, work_and_ergotropy
 from .errors import DegenerateGroundStateError, OracleDomainError, QBatteryError
 from .model_builders import (
     PT,
@@ -235,21 +235,14 @@ def _ergotropy_trace(config: SweepConfig) -> SweepResult:
         )
     )
 
-    rows = []
-    for t in times:
-        if t <= 0:
-            raise ValueError("fig_ergotropy needs t > 0")
-        state_pt = evolve_normalized(charger_pt, psi_pt, t)
-        state_rt = evolve_normalized(charger_rt, psi_rt, t)
-        rows.append(
-            (
-                t,
-                work(battery_pt, psi_pt, state_pt),
-                ergotropy(battery_pt, state_pt),
-                work(battery_rt, psi_rt, state_rt),
-                ergotropy(battery_rt, state_rt),
-            )
-        )
+    if any(t <= 0 for t in times):
+        raise ValueError("fig_ergotropy needs t > 0")
+    work_pt, ergo_pt = work_and_ergotropy(battery_pt, charger_pt, psi_pt, times)
+    work_rt, ergo_rt = work_and_ergotropy(battery_rt, charger_rt, psi_rt, times)
+    rows = [
+        (t, float(w_pt), float(e_pt), float(w_rt), float(e_rt))
+        for t, w_pt, e_pt, w_rt, e_rt in zip(times, work_pt, ergo_pt, work_rt, ergo_rt)
+    ]
     return SweepResult(
         param_names=["t"],
         metric_names=list(EXPERIMENTS["fig_ergotropy"].metrics),

@@ -22,7 +22,7 @@ from .dense_linalg import (
     hermitian_eig,
 )
 from .errors import DegenerateSpectrumError
-from .tensor_core import Operator, bond_pairs, embed_site, max_sites, pauli
+from .tensor_core import Operator, bond_pairs, embed_site, max_sites, pauli, site_sum
 
 PT = "pt"
 PT_HERMITIAN = "pt_hermitian"
@@ -89,14 +89,6 @@ class ChargerSpec:
                 raise ValueError("RT charger needs n_sites >= 2")
 
 
-def _field_sum(axis: str, n: int) -> np.ndarray:
-    op = pauli(axis)
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for r in range(n):
-        total += embed_site(op, r, n).matrix
-    return total
-
-
 def _bond_sum(axis_a: str, axis_b: str, n: int, boundary: str) -> np.ndarray:
     total = np.zeros((2**n, 2**n), dtype=complex)
     op_a = pauli(axis_a)
@@ -116,7 +108,7 @@ def build_battery_xyz(spec: BatterySpec) -> Operator:
     xx = _bond_sum("x", "x", n, spec.boundary)
     yy = _bond_sum("y", "y", n, spec.boundary)
     zz = _bond_sum("z", "z", n, spec.boundary)
-    z = _field_sum("z", n)
+    z = site_sum(pauli("z"), n).matrix
     h_mat = (
         0.25 * spec.J * ((1.0 + spec.gamma) * xx + (1.0 - spec.gamma) * yy)
         + 0.25 * spec.delta * zz
@@ -129,7 +121,7 @@ def build_noninteracting_battery(n: int) -> Operator:
     """Sum of single-site sigma^x terms."""
     if n < 1 or n > max_sites():
         raise ValueError(f"n={n} outside the allowed range [1, {max_sites()}]")
-    return Operator(_field_sum("x", n), n_sites=n, hermitian=True)
+    return site_sum(pauli("x"), n)
 
 
 def normalize_spectrum(h: Operator) -> Operator:
@@ -153,22 +145,23 @@ def build_pt_charger(alpha: float, n: int) -> Operator:
     """Local PT-symmetric charger: sum over sites of sigma^x + i sin(alpha) sigma^z.
 
     alpha = pi/2 is the exceptional point where the per-site term becomes
-    defective.
+    defective.  The per-site term is kept as ``site_term``.
     """
     if n < 1 or n > max_sites():
         raise ValueError(f"n={n} outside the allowed range [1, {max_sites()}]")
     s = math.sin(alpha)
-    h_mat = _field_sum("x", n) + (1j * s) * _field_sum("z", n)
-    return Operator(h_mat, n_sites=n, hermitian=(s == 0.0))
+    term = pauli("x").matrix + (1j * s) * pauli("z").matrix
+    return site_sum(Operator(term, n_sites=1, hermitian=(s == 0.0)), n)
 
 
 def build_pt_hermitian_charger(alpha: float, n: int) -> Operator:
-    """Hermitian counterpart of the PT charger: sigma^x + sin(alpha) sigma^z per site."""
+    """Hermitian counterpart of the PT charger: sigma^x + sin(alpha) sigma^z per
+    site, kept as ``site_term``."""
     if n < 1 or n > max_sites():
         raise ValueError(f"n={n} outside the allowed range [1, {max_sites()}]")
     s = math.sin(alpha)
-    h_mat = _field_sum("x", n) + s * _field_sum("z", n)
-    return Operator(h_mat, n_sites=n, hermitian=True)
+    term = pauli("x").matrix + s * pauli("z").matrix
+    return site_sum(Operator(term, n_sites=1, hermitian=True), n)
 
 
 def build_rt_charger(spec: ChargerSpec) -> Operator:
@@ -183,7 +176,7 @@ def build_rt_charger(spec: ChargerSpec) -> Operator:
     n = spec.n_sites
     xx = _bond_sum("x", "x", n, "periodic")
     yy = _bond_sum("y", "y", n, "periodic")
-    z = _field_sum("z", n)
+    z = site_sum(pauli("z"), n).matrix
     aniso = 1j * spec.gamma_prime if spec.kind == RT else spec.gamma_prime
     h_mat = 0.25 * spec.J * ((1.0 + aniso) * xx + (1.0 - aniso) * yy) + 0.5 * spec.h_prime * z
     hermitian = spec.kind == RT_HERMITIAN or spec.gamma_prime == 0.0

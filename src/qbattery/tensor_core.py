@@ -8,7 +8,7 @@ All operators are dense complex matrices; ``hbar = 1`` throughout.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,16 @@ class Operator:
     """Dense operator on an N-qubit Hilbert space.
 
     The wrapped matrix is made read-only so instances can be shared across
-    concurrent workers.
+    concurrent workers.  ``site_term`` is the read-only 2x2 matrix h with
+    ``matrix == sum_r h_r`` when the operator is a sum of one identical term
+    per site; only :func:`site_sum` sets it, so it always agrees with
+    ``matrix``.  Every other operator carries ``None``.
     """
 
     matrix: np.ndarray
     n_sites: int
     hermitian: bool = False
+    site_term: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -93,6 +97,20 @@ def embed_site(op: Operator, site: int, n: int) -> Operator:
     right = np.eye(2 ** (n - site - 1), dtype=complex)
     full = np.kron(np.kron(left, op.matrix), right)
     return Operator(full, n_sites=n, hermitian=op.hermitian)
+
+
+def site_sum(op: Operator, n: int) -> Operator:
+    """Sum of ``op`` embedded at every site of an ``n``-site chain.
+
+    The result carries ``op.matrix`` as its ``site_term``, so propagators can
+    use the exact product form exp(-i t sum_r h_r) = exp(-i t h)^(x)n.
+    """
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for r in range(n):
+        total += embed_site(op, r, n).matrix
+    out = Operator(total, n_sites=n, hermitian=op.hermitian)
+    object.__setattr__(out, "site_term", op.matrix)
+    return out
 
 
 def two_site_term(

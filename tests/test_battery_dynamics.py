@@ -1,16 +1,22 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbattery import closed_form_oracles as oracles
 from qbattery.battery_dynamics import (
+    _site_propagators,
     delta_p_max,
     ergotropy,
     evolve_normalized,
     power_trace,
     work,
+    work_and_ergotropy,
 )
 from qbattery.dense_linalg import expm_array, hermitian_eig
-from qbattery.errors import ConsistencyError, NormalizationUnderflowError
+from qbattery.errors import ConsistencyError, NormalizationUnderflowError, NumericRangeError
 from qbattery.model_builders import (
     PT,
     PT_HERMITIAN,
@@ -27,7 +33,10 @@ from qbattery.model_builders import (
     normalize_spectrum,
 )
 from qbattery.state_prep import QuantumState, ground_state, thermal_state
-from qbattery.tensor_core import Operator
+from qbattery.tensor_core import Operator, site_sum
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def xx_battery(j=1.0, h=1.0, n=2, boundary="periodic"):
@@ -95,6 +104,117 @@ def test_evolve_normalization_underflow():
     psi = QuantumState.pure(np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(NormalizationUnderflowError):
         evolve_normalized(decaying, psi, 200.0)
+
+
+def test_evolve_product_overflow_raises_numeric_range():
+    growing = site_sum(Operator(5.0j * np.eye(2), n_sites=1), 2)
+    psi = QuantumState.pure(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(NumericRangeError):
+        evolve_normalized(growing, psi, 200.0)
+
+
+# --- per-site product propagator ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        SX + 1j * np.sin(0.7) * SZ,
+        SX + np.sin(0.7) * SZ,
+        SX + 1j * SZ,
+        np.array([[0.3 + 0.2j, 1.1 - 0.4j], [-0.7j, -1.2 + 0.5j]]),
+    ],
+)
+def test_site_propagators_match_pade(h):
+    times = np.array([0.0, 0.3, 2.0, 7.5])
+    got = _site_propagators(h, times)
+    for k, t in zip(got, times):
+        want = expm_array(-1j * t * h)
+        assert np.max(np.abs(k - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_site_propagators_exact_at_exceptional_point():
+    h = SX + 1j * SZ
+    times = np.array([0.5, 10.0, 1e3])
+    got = _site_propagators(h, times)
+    want = np.eye(2) - 1j * times[:, None, None] * h
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_product_kernel_general_site_term(mixed):
+    # a term that is neither symmetric, traceless nor Hermitian, so a
+    # transposed contraction or a dropped phase would show
+    h = np.array([[0.3 + 0.2j, 1.1 - 0.4j], [-0.7j, -1.2 + 0.5j]])
+    charger = site_sum(Operator(h, n_sites=1), 3)
+    plain = Operator(charger.matrix, n_sites=3)
+    rng = np.random.default_rng(7)
+    if mixed:
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho0 = QuantumState.density(a @ a.conj().T)
+    else:
+        rho0 = QuantumState.pure(rng.normal(size=8) + 1j * rng.normal(size=8))
+    for t in (0.4, 1.3):
+        fast = evolve_normalized(charger, rho0, t).data
+        dense = evolve_normalized(plain, rho0, t).data
+        assert np.max(np.abs(fast - dense)) < 1e-12
+
+
+def _kron_traces(battery, term, rho0, times):
+    """Work and ergotropy from dense propagators kron(k, ..., k), with each
+    2x2 factor k = exp(-i t term) from the Pade exponential."""
+    h = battery.matrix
+    levels = np.linalg.eigvalsh(h)
+    if rho0.is_pure:
+        e_init = np.real(np.vdot(rho0.data, h @ rho0.data))
+    else:
+        e_init = np.real(np.trace(h @ rho0.data))
+    work_vals, ergo_vals = [], []
+    for t in times:
+        k = reduce(np.kron, [expm_array(-1j * t * term)] * battery.n_sites)
+        if rho0.is_pure:
+            phi = k @ rho0.data
+            phi /= np.linalg.norm(phi)
+            energy = np.real(np.vdot(phi, h @ phi))
+            passive = levels[0]
+        else:
+            sig = k @ rho0.data @ k.conj().T
+            sig /= np.real(np.trace(sig))
+            energy = np.real(np.trace(h @ sig))
+            passive = np.dot(np.linalg.eigvalsh(sig)[::-1], levels)
+        work_vals.append(energy - e_init)
+        ergo_vals.append(energy - passive)
+    return np.array(work_vals), np.array(ergo_vals)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    alpha=st.floats(0.0, np.pi),
+    twin=st.booleans(),
+    thermal=st.booleans(),
+)
+@example(n=6, alpha=0.0, twin=False, thermal=False)
+@example(n=6, alpha=np.pi / 2, twin=False, thermal=False)
+@example(n=6, alpha=np.pi / 2, twin=False, thermal=True)
+@example(n=6, alpha=np.pi / 2, twin=True, thermal=True)
+@example(n=6, alpha=np.pi, twin=False, thermal=True)
+def test_product_kernel_matches_dense(n, alpha, twin, thermal):
+    # P_max is compared with the dense Pade path on the full 2^N matrix.  The
+    # traces are compared with dense kron products of exact 2x2 factors: the
+    # full-matrix Pade path loses up to ~1e-6 late in the window where the
+    # unnormalized norm has grown and shrunk again (N = 6, alpha = 1.3,
+    # t = 10, against a 50-digit reference), so it cannot referee them.
+    battery = xx_battery(n=n, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    charger = (build_pt_hermitian_charger if twin else build_pt_charger)(alpha, n)
+    plain = Operator(charger.matrix, n_sites=n, hermitian=charger.hermitian)
+    fast = power_trace(battery, charger, rho0, 10.0, 64)
+    dense = power_trace(battery, plain, rho0, 10.0, 64)
+    assert abs(fast.p_max - dense.p_max) <= 1e-10
+    work_ref, ergo_ref = _kron_traces(battery, charger.site_term, rho0, fast.times)
+    assert np.max(np.abs(fast.work - work_ref)) <= 1e-10
+    assert np.max(np.abs(fast.ergotropy - ergo_ref)) <= 1e-10
 
 
 # --- work -----------------------------------------------------------------------
@@ -211,6 +331,19 @@ def test_power_trace_pure_start_stays_pure():
     assert abs(np.trace(rho @ rho).real - 1.0) < 1e-10
 
 
+def test_power_trace_flags_maximum_at_window_edge():
+    battery = xx_battery()
+    psi = ground_state(battery)
+    charger = build_pt_charger(np.pi / 3, 2)
+    # P(t) rises from 0 at small t, so a short window ends on the rise
+    short = power_trace(battery, charger, psi, t_max=0.2, n_grid=64)
+    assert short.t_star_at_edge
+    assert int(np.argmax(short.power)) == 63
+    full = power_trace(battery, charger, psi, t_max=10.0, n_grid=64)
+    assert not full.t_star_at_edge
+    assert full.t_star < 10.0
+
+
 def test_power_trace_input_validation():
     battery = xx_battery()
     psi = ground_state(battery)
@@ -238,6 +371,38 @@ def test_ergotropy_equals_work_for_pure_ground_starts():
     charger = build_pt_charger(np.pi / 3, 2)
     trace = power_trace(battery, charger, psi, t_max=10.0, n_grid=128)
     assert np.max(np.abs(trace.ergotropy - trace.work)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["pt", "rt"])
+def test_pure_state_through_density_path(kind):
+    # The pure-state ergotropy is energy minus E_0, the same expression as the
+    # work from the ground state; the density-matrix path pairs populations
+    # with levels instead, so agreement is a real check of both.
+    if kind == "pt":
+        battery = xx_battery(n=4, boundary="open")
+        charger = build_pt_charger(2 * np.pi / 3, 4)
+    else:
+        battery = normalize_spectrum(build_noninteracting_battery(4))
+        charger = build_charger(rt_pair(0.1, 1.5, n=4)[0])
+    assert (charger.site_term is not None) == (kind == "pt")
+    psi = ground_state(battery)
+    rho0 = QuantumState.density(np.outer(psi.data, psi.data.conj()))
+    pure = power_trace(battery, charger, psi, 10.0, 200)
+    mixed = power_trace(battery, charger, rho0, 10.0, 200)
+    assert np.max(np.abs(mixed.work - pure.work)) < 1e-10
+    assert np.max(np.abs(mixed.ergotropy - pure.ergotropy)) < 1e-10
+    assert np.max(np.abs(mixed.ergotropy - mixed.work)) < 1e-10
+    assert abs(mixed.p_max - pure.p_max) < 1e-10
+
+
+def test_work_and_ergotropy_validation():
+    battery = xx_battery()
+    psi = ground_state(battery)
+    charger = build_pt_charger(0.3, 2)
+    with pytest.raises(ValueError):
+        work_and_ergotropy(battery, charger, psi, [0.5, -1.0])
+    with pytest.raises(ValueError):
+        work_and_ergotropy(battery, build_pt_charger(0.3, 3), psi, [0.5])
 
 
 def test_ergotropy_thermal_start_nonnegative_and_below_work_gain():

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from qbattery.battery_dynamics import ergotropy, evolve_normalized, work
 from qbattery.experiment_cli import (
     DEGEN_MARKER,
     EXPERIMENTS,
@@ -20,6 +21,16 @@ from qbattery.experiment_cli import (
     run_experiment,
     run_oracle_check,
 )
+from qbattery.model_builders import (
+    BatterySpec,
+    ChargerSpec,
+    build_battery_xyz,
+    build_charger,
+    build_noninteracting_battery,
+    build_pt_charger,
+    normalize_spectrum,
+)
+from qbattery.state_prep import ground_state
 
 
 def small_map_config(**overrides):
@@ -164,6 +175,35 @@ def test_ergotropy_experiment_work_equals_ergotropy(tmp_path):
         t, w_pt, e_pt, w_rt, e_rt = row
         assert abs(w_pt - e_pt) < 1e-10
         assert abs(w_rt - e_rt) < 1e-10
+
+
+def test_ergotropy_rows_match_per_time_evaluation():
+    # the per-time loop the rows were once built with: one snapshot, one
+    # work and one ergotropy call per time and charger
+    cfg = SweepConfig(
+        experiment="fig_ergotropy",
+        ranges={"t": (0.05, 10.0, 40)},
+        workers=1,
+    )
+    res = run_experiment(cfg)
+    battery_pt = normalize_spectrum(
+        build_battery_xyz(BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=6, boundary="open"))
+    )
+    battery_rt = normalize_spectrum(build_noninteracting_battery(6))
+    charger_pt = build_pt_charger(2.0 * math.pi / 3.0, 6)
+    charger_rt = build_charger(ChargerSpec(kind="rt", n_sites=6, gamma_prime=0.1, J=1.0, h_prime=1.5))
+    psi_pt = ground_state(battery_pt)
+    psi_rt = ground_state(battery_rt)
+    for t, *values in res.rows:
+        state_pt = evolve_normalized(charger_pt, psi_pt, t)
+        state_rt = evolve_normalized(charger_rt, psi_rt, t)
+        want = (
+            work(battery_pt, psi_pt, state_pt),
+            ergotropy(battery_pt, state_pt),
+            work(battery_rt, psi_rt, state_rt),
+            ergotropy(battery_rt, state_rt),
+        )
+        assert np.max(np.abs(np.array(values) - want)) <= 1e-12
 
 
 def test_scaling_experiment_emits_fit_metadata():

@@ -153,6 +153,35 @@ def test_pt_hermitian_charger():
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_site_term_matches_matrix_for_per_site_builders(n):
+    s = np.sin(np.pi / 3)
+    cases = [
+        (build_pt_charger(np.pi / 3, n), SX + 1j * s * SZ),
+        (build_pt_hermitian_charger(np.pi / 3, n), SX + s * SZ),
+        (build_noninteracting_battery(n), SX),
+    ]
+    for op, term in cases:
+        assert np.array_equal(op.site_term, term)
+        assert not op.site_term.flags.writeable
+        embedded = sum(embed_site(Operator(term, n_sites=1), r, n).matrix for r in range(n))
+        assert np.array_equal(op.matrix, embedded)
+
+
+def test_site_term_absent_on_every_other_operator():
+    rt = ChargerSpec(kind=RT, n_sites=2, gamma_prime=0.8, J=1.0, h_prime=0.5)
+    rt_h = ChargerSpec(kind=RT_HERMITIAN, n_sites=2, gamma_prime=0.8, J=1.0, h_prime=0.5)
+    others = [
+        build_rt_charger(rt),
+        build_charger(rt_h),
+        build_battery_xyz(xx_spec()),
+        normalize_spectrum(build_noninteracting_battery(2)),
+        Operator(build_pt_charger(np.pi / 3, 2).matrix, n_sites=2),
+    ]
+    for op in others:
+        assert op.site_term is None
+
+
 def test_rt_charger_hand_expansion():
     spec = ChargerSpec(kind=RT, n_sites=2, gamma_prime=0.8, J=1.0, h_prime=0.5)
     h = build_rt_charger(spec).matrix

@@ -7,6 +7,7 @@ from qbattery.tensor_core import (
     embed_site,
     max_sites,
     pauli,
+    site_sum,
     two_site_term,
 )
 
@@ -31,6 +32,22 @@ def test_embed_site_leftmost_ordering():
     # site 0 is the most significant tensor factor
     assert np.array_equal(embed_site(pauli("z"), 0, 2).matrix, np.diag([1, 1, -1, -1]).astype(complex))
     assert np.array_equal(embed_site(pauli("z"), 1, 2).matrix, np.diag([1, -1, 1, -1]).astype(complex))
+
+
+def test_site_sum_matrix_and_term():
+    term = SX + 0.4j * SZ
+    op = site_sum(Operator(term, n_sites=1), 3)
+    want = sum(np.kron(np.kron(np.eye(2**r), term), np.eye(2 ** (2 - r))) for r in range(3))
+    assert np.array_equal(op.matrix, want)
+    assert np.array_equal(op.site_term, term)
+    assert not op.site_term.flags.writeable
+    assert not op.hermitian
+    assert site_sum(pauli("x"), 2).hermitian
+
+
+def test_plain_operator_has_no_site_term():
+    assert Operator(np.eye(4), n_sites=2).site_term is None
+    assert embed_site(pauli("x"), 0, 2).site_term is None
 
 
 def test_embed_identity_and_right_site():
