@@ -153,19 +153,13 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_batch(stack: np.ndarray, max_chunk_elems: int = 1 << 20) -> np.ndarray:
-    """Matrix exponential of a stack of square matrices, chunked for memory."""
+def expm_batch(stack: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a stack of square matrices; the caller bounds
+    the stack size."""
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
         raise ValueError(f"expected a (m, d, d) stack, got shape {stack.shape}")
-    nbatch, d, _ = stack.shape
-    chunk = max(1, max_chunk_elems // (d * d))
-    if nbatch <= chunk:
-        return _expm_chunk(stack)
-    out = np.empty_like(stack)
-    for start in range(0, nbatch, chunk):
-        out[start : start + chunk] = _expm_chunk(stack[start : start + chunk])
-    return out
+    return _expm_chunk(stack)
 
 
 def expm_array(a: np.ndarray) -> np.ndarray:

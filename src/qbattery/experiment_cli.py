@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import math
 import os
 import sys
@@ -487,12 +488,6 @@ def fit_power_law(n_values, p_max_values) -> dict:
 # CSV + plot output
 
 
-def _csv_field(text: str) -> str:
-    if any(ch in text for ch in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _format_value(v) -> str:
     if v is None:
         return DEGEN_MARKER
@@ -505,13 +500,11 @@ def emit_outputs(result: SweepResult, path: str, plot: bool = False) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        lines = [f"# {key}: {value}" for key, value in result.metadata.items()]
-        header = [_csv_field(name) for name in result.param_names + result.metric_names]
-        lines.append(",".join(header))
-        for row in result.rows:
-            lines.append(",".join(_csv_field(_format_value(v)) for v in row))
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(f"# {key}: {value}\n" for key, value in result.metadata.items())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(result.param_names + result.metric_names)
+            writer.writerows([_format_value(v) for v in row] for row in result.rows)
     except OSError as exc:
         raise RuntimeError(f"failed to write results to {path}: {exc}") from exc
     if plot:
@@ -526,53 +519,18 @@ def emit_outputs(result: SweepResult, path: str, plot: bool = False) -> None:
 def read_csv(path: str):
     """Parse a sweep CSV back into (metadata, names, rows of strings)."""
     metadata: dict[str, str] = {}
-    names: list[str] = []
-    rows: list[list[str]] = []
-    with open(path) as fh:
+    body: list[str] = []
+    with open(path, newline="") as fh:
         for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
+                key, sep, value = line[1:].strip().partition(":")
+                if sep:
                     metadata[key.strip()] = value.strip()
-                continue
-            fields = _split_csv_line(line)
-            if not names:
-                names = fields
             else:
-                rows.append(fields)
-    return metadata, names, rows
-
-
-def _split_csv_line(line: str) -> list[str]:
-    fields = []
-    buf = []
-    quoted = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    buf.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                buf.append(ch)
-        elif ch == '"':
-            quoted = True
-        elif ch == ",":
-            fields.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    fields.append("".join(buf))
-    return fields
+                body.append(line)
+    records = [fields for fields in csv.reader(body) if fields]
+    names = records[0] if records else []
+    return metadata, names, records[1:]
 
 
 def _plot_script(result: SweepResult, csv_name: str) -> str:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbattery import battery_dynamics
 from qbattery import closed_form_oracles as oracles
 from qbattery.battery_dynamics import (
+    _grid_split,
     _site_propagators,
     delta_p_max,
     ergotropy,
@@ -22,6 +24,8 @@ from qbattery.model_builders import (
     PT_HERMITIAN,
     RT,
     RT_HERMITIAN,
+    BROKEN_COMPLEX,
+    UNBROKEN_REAL,
     BatterySpec,
     ChargerSpec,
     build_battery_xyz,
@@ -30,6 +34,7 @@ from qbattery.model_builders import (
     build_pt_charger,
     build_pt_hermitian_charger,
     build_rt_charger,
+    classify_phase,
     normalize_spectrum,
 )
 from qbattery.state_prep import QuantumState, ground_state, thermal_state
@@ -160,9 +165,9 @@ def test_product_kernel_general_site_term(mixed):
         assert np.max(np.abs(fast - dense)) < 1e-12
 
 
-def _kron_traces(battery, term, rho0, times):
-    """Work and ergotropy from dense propagators kron(k, ..., k), with each
-    2x2 factor k = exp(-i t term) from the Pade exponential."""
+def _reference_traces(battery, rho0, times, propagator):
+    """Work and ergotropy with the dense propagator ``propagator(t)`` built
+    separately at each time and applied directly to rho0."""
     h = battery.matrix
     levels = np.linalg.eigvalsh(h)
     if rho0.is_pure:
@@ -171,7 +176,7 @@ def _kron_traces(battery, term, rho0, times):
         e_init = np.real(np.trace(h @ rho0.data))
     work_vals, ergo_vals = [], []
     for t in times:
-        k = reduce(np.kron, [expm_array(-1j * t * term)] * battery.n_sites)
+        k = propagator(t)
         if rho0.is_pure:
             phi = k @ rho0.data
             phi /= np.linalg.norm(phi)
@@ -185,6 +190,22 @@ def _kron_traces(battery, term, rho0, times):
         work_vals.append(energy - e_init)
         ergo_vals.append(energy - passive)
     return np.array(work_vals), np.array(ergo_vals)
+
+
+def _kron_traces(battery, term, rho0, times):
+    """Reference traces from kron(k, ..., k), each 2x2 factor
+    k = exp(-i t term) from the Pade exponential."""
+    n = battery.n_sites
+    return _reference_traces(
+        battery, rho0, times, lambda t: reduce(np.kron, [expm_array(-1j * t * term)] * n)
+    )
+
+
+def _per_time_traces(battery, charger, rho0, times):
+    """Reference traces from one full-matrix Pade exponential per time."""
+    return _reference_traces(
+        battery, rho0, times, lambda t: expm_array(-1j * t * charger.matrix)
+    )
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -215,6 +236,136 @@ def test_product_kernel_matches_dense(n, alpha, twin, thermal):
     work_ref, ergo_ref = _kron_traces(battery, charger.site_term, rho0, fast.times)
     assert np.max(np.abs(fast.work - work_ref)) <= 1e-10
     assert np.max(np.abs(fast.ergotropy - ergo_ref)) <= 1e-10
+
+
+# --- two-factor dense grid --------------------------------------------------------
+
+UNBROKEN, BROKEN = (0.3, 1.5), (1.2, 0.2)  # RT (gamma', h') at N = 2, 4, 6
+
+
+def rt_charger(gamma_prime, h_prime, n, kind=RT):
+    return build_rt_charger(
+        ChargerSpec(kind=kind, n_sites=n, gamma_prime=gamma_prime, J=1.0, h_prime=h_prime)
+    )
+
+
+def test_grid_split_arithmetic_progression():
+    times = 10.0 * np.arange(1, 801) / 800
+    anchors, offsets = _grid_split(times)
+    assert np.array_equal(anchors, times[::29])
+    assert offsets.size == 29 and offsets[0] == 0.0
+    k = np.arange(times.size)
+    assert np.max(np.abs(anchors[k // 29] + offsets[k % 29] - times)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[2.5], [0.3, 1.1, 1.2, 4.0, 9.5], [3.0, 2.0, 1.0], [1.0, 1.0, 1.0]],
+    ids=["single", "irregular", "decreasing", "constant"],
+)
+def test_grid_split_other_times_one_anchor_each(times):
+    times = np.array(times)
+    anchors, offsets = _grid_split(times)
+    assert np.array_equal(anchors, times)
+    assert np.array_equal(offsets, [0.0])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_rt_test_points_sit_in_their_phases(n):
+    assert classify_phase(rt_charger(*UNBROKEN, n)) == UNBROKEN_REAL
+    assert classify_phase(rt_charger(*BROKEN, n)) == BROKEN_COMPLEX
+
+
+def _assert_matches_per_time(battery, charger, rho0, times):
+    work_vals, ergo_vals = work_and_ergotropy(battery, charger, rho0, times)
+    work_ref, ergo_ref = _per_time_traces(battery, charger, rho0, times)
+    assert np.max(np.abs(work_vals - work_ref)) <= 1e-12
+    assert np.max(np.abs(ergo_vals - ergo_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("thermal", [False, True])
+@pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])
+def test_grid_kernel_matches_per_time_pade(n, thermal, params):
+    battery = xx_battery(n=n, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    times = 10.0 * np.arange(1, 49) / 48
+    _assert_matches_per_time(battery, rt_charger(*params, n), rho0, times)
+
+
+@pytest.mark.parametrize("thermal", [False, True])
+@pytest.mark.parametrize(
+    "times",
+    [np.linspace(0.37, 10.0, 97), np.array([6.1]), np.array([0.3, 1.1, 1.2, 4.0, 9.5])],
+    ids=["linspace", "single", "irregular"],
+)
+def test_grid_kernel_time_arrays_match_per_time_pade(times, thermal):
+    battery = xx_battery(n=4, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    _assert_matches_per_time(battery, rt_charger(*BROKEN, 4), rho0, times)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])
+def test_grid_kernel_p_max_matches_per_time_pade(monkeypatch, n, params):
+    battery = xx_battery(n=n, boundary="open")
+    psi = ground_state(battery)
+    charger = rt_charger(*params, n)
+    grid = power_trace(battery, charger, psi, 10.0, 200)
+    # one anchor per time and offset 0: a Pade exponential per grid time
+    monkeypatch.setattr(battery_dynamics, "_grid_split", lambda times: (times, np.zeros(1)))
+    per_time = power_trace(battery, charger, psi, 10.0, 200)
+    assert abs(grid.p_max - per_time.p_max) <= 1e-12
+    assert np.max(np.abs(grid.work - per_time.work)) <= 1e-12
+
+
+@pytest.mark.parametrize("thermal", [False, True])
+def test_grid_kernel_chunking_leaves_states_unchanged(monkeypatch, thermal):
+    battery = xx_battery(n=2)
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    charger = rt_charger(*BROKEN, 2)
+    times = 10.0 * np.arange(1, 49) / 48
+    whole = work_and_ergotropy(battery, charger, rho0, times)
+    # several offset chunks, and one anchor per chunk
+    monkeypatch.setattr(battery_dynamics, "_CHUNK_ELEMS", 64)
+    chunked = work_and_ergotropy(battery, charger, rho0, times)
+    for got, want in zip(chunked, whole):
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    gamma_prime=st.floats(0.0, 2.0),
+    h_prime=st.floats(0.0, 2.0),
+    hermitian=st.booleans(),
+    thermal=st.booleans(),
+)
+@example(n=4, gamma_prime=1.2, h_prime=0.2, hermitian=False, thermal=True)
+def test_grid_kernel_matches_per_time_property(n, gamma_prime, h_prime, hermitian, thermal):
+    battery = xx_battery(n=n, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    charger = rt_charger(gamma_prime, h_prime, n, RT_HERMITIAN if hermitian else RT)
+    _assert_matches_per_time(battery, charger, rho0, 10.0 * np.arange(1, 65) / 64)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.0, np.pi / 2])
+def test_grid_kernel_no_less_accurate_than_per_time_pade(alpha):
+    # A PT charger given as a plain matrix runs on the dense grid, and its
+    # per-site product form is exact to ~1e-15.  Both dense paths carry the
+    # Pade error of a non-normal propagator whose norm grows and shrinks again
+    # (~1e-6 late in the window).  On the 800-point grid of the sweeps the
+    # grid's largest error must not exceed the per-time one; on some other
+    # grids either path can be the worse one at that level.
+    battery = xx_battery(n=6, boundary="open")
+    psi = ground_state(battery)
+    charger = build_pt_charger(alpha, 6)
+    plain = Operator(charger.matrix, n_sites=6)
+    times = 10.0 * np.arange(1, 801) / 800
+    exact, _ = work_and_ergotropy(battery, charger, psi, times)
+    grid, _ = work_and_ergotropy(battery, plain, psi, times)
+    per_time, _ = _per_time_traces(battery, plain, psi, times)
+    assert np.max(np.abs(grid - exact)) <= np.max(np.abs(per_time - exact))
 
 
 # --- work -----------------------------------------------------------------------

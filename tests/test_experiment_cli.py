@@ -1,6 +1,7 @@
 import io
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qbattery.experiment_cli import (
     DEGEN_MARKER,
     EXPERIMENTS,
     SweepConfig,
+    SweepResult,
     _grid_values,
     _parse_number,
     emit_outputs,
@@ -31,6 +33,8 @@ from qbattery.model_builders import (
     normalize_spectrum,
 )
 from qbattery.state_prep import ground_state
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def small_map_config(**overrides):
@@ -231,6 +235,28 @@ def test_csv_round_trip_is_bitwise(tmp_path):
     for written, original in zip(rows, res.rows):
         for text, value in zip(written, original):
             assert float(text) == value  # 17 significant digits round-trips exactly
+
+
+def test_csv_bytes_match_fixture(tmp_path):
+    # the fixture holds the bytes of the earlier hand-rolled writer: quoted
+    # header names with ',' and '"', a DEGEN row, 17-digit values
+    res = SweepResult(
+        param_names=["h", "a,b"],
+        metric_names=['say "hi"', "p_max"],
+        rows=[
+            (0.1, -2.5, 1.0 / 3.0, 1e-300),
+            (0.2, 3.0, None, None),
+            (1e22, -0.0, 2.0**-30, 0.07125440666376713),
+        ],
+        metadata={"experiment": "quoting", "note": 'a, "b"'},
+    )
+    path = tmp_path / "quoting.csv"
+    emit_outputs(res, str(path))
+    assert path.read_bytes() == (DATA_DIR / "csv_quoting.csv").read_bytes()
+    meta, names, rows = read_csv(str(path))
+    assert meta == res.metadata
+    assert names == res.param_names + res.metric_names
+    assert rows[1] == ["0.20000000000000001", "3", DEGEN_MARKER, DEGEN_MARKER]
 
 
 def test_emit_plot_script(tmp_path):
