@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .tensor_core import Operator, embed_site, pauli, two_site_term
+from .tensor_core import Operator, embed_site, pauli
 from .dense_linalg import (
     EigenDecomposition,
     general_eigenvalues,
     hermitian_eig,
     is_defective_at,
-    matrix_exponential,
 )
 from .model_builders import (
     BatterySpec,
@@ -38,9 +37,7 @@ __all__ = [
     "Operator",
     "pauli",
     "embed_site",
-    "two_site_term",
     "EigenDecomposition",
-    "matrix_exponential",
     "hermitian_eig",
     "general_eigenvalues",
     "is_defective_at",

@@ -258,9 +258,7 @@ def ergotropy(h_b: Operator, rho: QuantumState) -> float:
     battery levels (ascending); for a pure state the populations are
     (1, 0, ..., 0), so the passive energy is the ground energy.
     """
-    if not h_b.hermitian:
-        raise ValueError("ergotropy requires a Hermitian battery Hamiltonian")
-    levels = hermitian_eig(h_b, compute_vectors=False).values
+    levels = h_b.spectrum.values
     energy = _energy(h_b.matrix, rho)
     if rho.is_pure:
         return energy - float(levels[0])
@@ -285,7 +283,7 @@ def work_and_ergotropy(
     if not (h_b.dim == h_charge.dim == rho0.dim):
         raise ValueError("battery, charger and state dimensions differ")
     h_mat = h_b.matrix
-    levels = hermitian_eig(h_b, compute_vectors=False).values
+    levels = h_b.spectrum.values
     e_init = _energy(h_mat, rho0)
     work_vals = np.empty(times.size)
     ergo_vals = np.empty(times.size)
@@ -320,8 +318,8 @@ def power_trace(
     built from t = 0.  ``t_star_at_edge`` flags a grid maximum at
     t_max, where the true maximum may lie beyond the window.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if n_grid < 16:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")
     h_mat = h_b.matrix

@@ -13,7 +13,6 @@ and the numeric path is the authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +28,6 @@ BRANCH_RT_STATE = "rt_state"
 BRANCH_RT_POWER_SUB = "rt_power_sub"
 BRANCH_RT_POWER_SUPER = "rt_power_super"
 BRANCH_RT_HERM_POWER = "rt_herm_power"
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """A closed-form value together with the expression branch that produced it."""
-
-    value: object
-    branch: str
 
 
 def _pt_trig(alpha: float, t: float) -> tuple[float, float, float]:

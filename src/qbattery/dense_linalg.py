@@ -168,17 +168,6 @@ def expm_array(a: np.ndarray) -> np.ndarray:
     return _expm_chunk(a[None, :, :])[0]
 
 
-def matrix_exponential(m: Operator, scale: complex = 1.0) -> Operator:
-    """exp(scale * M) for a dense operator."""
-    if not isinstance(m, Operator):
-        raise TypeError("matrix_exponential expects an Operator; use expm_array for raw arrays")
-    with np.errstate(invalid="ignore"):
-        scaled = np.complex128(scale) * m.matrix
-    if not np.all(np.isfinite(scaled.view(float))):
-        raise NumericRangeError("scale * M has non-finite entries")
-    return Operator(expm_array(scaled), n_sites=m.n_sites, hermitian=False)
-
-
 def _check_hermitian(a: np.ndarray) -> None:
     norm = _frobenius(a)
     dev = _frobenius(a - a.conj().T)

@@ -71,8 +71,8 @@ class SweepConfig:
                 raise ValueError(f"range {name!r} needs count >= 1, got {count}")
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise ValueError(f"range {name!r} has non-finite endpoints")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.n_grid < 16:
             raise ValueError(f"n_grid must be >= 16, got {self.n_grid}")
         spec = EXPERIMENTS[self.experiment]

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_linalg import hermitian_eig
 from .errors import DegenerateGroundStateError
 from .tensor_core import Operator
 
@@ -98,9 +97,7 @@ def ground_state(h: Operator, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) ->
     Raises when the ground space is degenerate within ``degeneracy_tol``; the
     caller must shift parameters away from the crossing.
     """
-    if not h.hermitian:
-        raise ValueError("ground_state requires a Hermitian operator")
-    dec = hermitian_eig(h, compute_vectors=True)
+    dec = h.spectrum
     if h.dim > 1:
         gap = float(dec.values[1] - dec.values[0])
         if gap < degeneracy_tol:
@@ -118,13 +115,10 @@ def thermal_state(h: Operator, beta: float) -> QuantumState:
     stays finite.  ``beta = inf`` returns the projector onto the (possibly
     degenerate) ground space, ``beta = 0`` the maximally mixed state.
     """
-    if not h.hermitian:
-        raise ValueError("thermal_state requires a Hermitian operator")
     if beta < 0 or (not math.isinf(beta) and not math.isfinite(beta)):
         raise ValueError(f"beta must be >= 0 or +inf, got {beta}")
-    dec = hermitian_eig(h, compute_vectors=True)
-    vals = dec.values
-    vecs = dec.vectors
+    vals = h.spectrum.values
+    vecs = h.spectrum.vectors
     if math.isinf(beta):
         span = max(1.0, abs(float(vals[0])))
         in_ground = vals - vals[0] <= DEFAULT_DEGENERACY_TOL * span

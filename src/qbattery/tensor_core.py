@@ -7,6 +7,7 @@ All operators are dense complex matrices; ``hbar = 1`` throughout.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -46,6 +47,13 @@ class Operator:
     ``matrix == sum_r h_r`` when the operator is a sum of one identical term
     per site; only :func:`site_sum` sets it, so it always agrees with
     ``matrix``.  Every other operator carries ``None``.
+
+    ``spectrum`` is ``hermitian_eig(matrix)``: ascending values and
+    orthonormal vectors, both read-only, computed on first use and then kept,
+    so a battery is diagonalized once however many states and traces read
+    it.  Its numeric Hermiticity check is the one gate for every eigen-based
+    routine: a non-Hermitian ``matrix`` raises ``ValueError`` there, whatever
+    the ``hermitian`` flag the builder declared.
     """
 
     matrix: np.ndarray
@@ -73,6 +81,15 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def spectrum(self):
+        from .dense_linalg import hermitian_eig  # dense_linalg imports this module
+
+        dec = hermitian_eig(self.matrix)
+        dec.values.setflags(write=False)
+        dec.vectors.setflags(write=False)
+        return dec
+
 
 def pauli(axis: str) -> Operator:
     """Single-site Pauli matrix for ``axis`` in {'x', 'y', 'z', 'identity'}."""
@@ -81,22 +98,33 @@ def pauli(axis: str) -> Operator:
     return Operator(_PAULI[axis].copy(), n_sites=1, hermitian=True)
 
 
+def site_product(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Kronecker product over an ``n``-site chain of the 2x2 ``factors[r]`` at
+    each site r and the identity elsewhere, site 0 leftmost.
+
+    Every many-body operator is assembled here, so the chain-length cap is
+    checked here, before anything of size 2**n is allocated.
+    """
+    if n < 1 or n > max_sites():
+        raise ValueError(f"n={n} outside the allowed range [1, {max_sites()}]")
+    for r, f in factors.items():
+        if not 0 <= r < n:
+            raise ValueError(f"site {r} out of range for n={n}")
+        if np.shape(f) != (2, 2):
+            raise ValueError(f"site factors must be 2x2, got shape {np.shape(f)} at site {r}")
+    out = np.ones((1, 1), dtype=complex)
+    for r in range(n):
+        out = np.kron(out, factors.get(r, _PAULI["identity"]))
+    return out
+
+
 def embed_site(op: Operator, site: int, n: int) -> Operator:
     """Embed a single-site operator at ``site`` in an ``n``-site chain.
 
     Returns I (x) ... (x) op (x) ... (x) I with ``op`` as the ``site``-th
     tensor factor counted from the left.
     """
-    if op.dim != 2:
-        raise ValueError(f"embed_site expects a single-site operator, got dim {op.dim}")
-    if n < 1 or n > max_sites():
-        raise ValueError(f"n={n} outside the allowed range [1, {max_sites()}]")
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for n={n}")
-    left = np.eye(2**site, dtype=complex)
-    right = np.eye(2 ** (n - site - 1), dtype=complex)
-    full = np.kron(np.kron(left, op.matrix), right)
-    return Operator(full, n_sites=n, hermitian=op.hermitian)
+    return Operator(site_product({site: op.matrix}, n), n_sites=n, hermitian=op.hermitian)
 
 
 def site_sum(op: Operator, n: int) -> Operator:
@@ -105,32 +133,12 @@ def site_sum(op: Operator, n: int) -> Operator:
     The result carries ``op.matrix`` as its ``site_term``, so propagators can
     use the exact product form exp(-i t sum_r h_r) = exp(-i t h)^(x)n.
     """
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for r in range(n):
-        total += embed_site(op, r, n).matrix
+    total = site_product({0: op.matrix}, n)
+    for r in range(1, n):
+        total += site_product({r: op.matrix}, n)
     out = Operator(total, n_sites=n, hermitian=op.hermitian)
     object.__setattr__(out, "site_term", op.matrix)
     return out
-
-
-def two_site_term(
-    op_a: Operator, op_b: Operator, r: int, n: int, boundary: str = "periodic"
-) -> Operator:
-    """Product of ``op_a`` at site ``r`` and ``op_b`` at site ``r+1``.
-
-    With periodic boundary the neighbor index wraps mod ``n``; with open
-    boundary ``r = n-1`` is rejected.
-    """
-    if boundary not in ("periodic", "open"):
-        raise ValueError(f"unknown boundary {boundary!r}")
-    if not 0 <= r < n:
-        raise ValueError(f"site {r} out of range for n={n}")
-    if boundary == "open" and r == n - 1:
-        raise ValueError(f"open boundary has no bond at r={r} for n={n}")
-    a = embed_site(op_a, r, n)
-    b = embed_site(op_b, (r + 1) % n, n)
-    hermitian = op_a.hermitian and op_b.hermitian and (r + 1) % n != r
-    return Operator(a.matrix @ b.matrix, n_sites=n, hermitian=hermitian)
 
 
 def bond_pairs(n: int, boundary: str = "periodic") -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import sys
 from functools import reduce
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbattery import battery_dynamics
+from qbattery import battery_dynamics, dense_linalg
 from qbattery import closed_form_oracles as oracles
 from qbattery.battery_dynamics import (
     _grid_split,
@@ -505,6 +506,14 @@ def test_power_trace_input_validation():
         power_trace(battery, charger, psi, t_max=1.0, n_grid=8)
 
 
+@pytest.mark.parametrize("t_max", [np.nan, np.inf])
+def test_power_trace_rejects_non_finite_t_max(t_max):
+    battery = xx_battery()
+    psi = ground_state(battery)
+    with pytest.raises(ValueError, match=f"t_max must be finite and > 0, got {t_max}"):
+        power_trace(battery, build_pt_charger(0.3, 2), psi, t_max=t_max, n_grid=64)
+
+
 # --- ergotropy ---------------------------------------------------------------------
 
 
@@ -592,6 +601,51 @@ def test_delta_rt_sign_flips_with_field():
     assert delta_p_max(2, nh, h, n_grid=400).delta > 0.0
     nh, h = rt_pair(0.5, 1.5)
     assert delta_p_max(2, nh, h, n_grid=400).delta < 0.0
+
+
+def _battery_eig_calls(monkeypatch, batteries):
+    """Record ``compute_vectors`` of every ``hermitian_eig`` call, wherever it
+    is looked up from, whose matrix is one of ``batteries``."""
+    original = dense_linalg.hermitian_eig
+    calls = []
+
+    def counted(m, compute_vectors=True):
+        a = getattr(m, "matrix", m)
+        if any(a.shape == b.shape and np.array_equal(a, b) for b in batteries):
+            calls.append(compute_vectors)
+        return original(m, compute_vectors)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qbattery" and getattr(module, "hermitian_eig", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig", counted)
+    return calls
+
+
+@pytest.mark.parametrize("row", ["pt_ground", "rt_thermal"])
+def test_delta_row_diagonalizes_its_battery_twice(monkeypatch, row):
+    # A row normalizes the raw battery (values only) and prepares its state
+    # from the normalized one (values and vectors); both traces reuse that.
+    if row == "pt_ground":
+        battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=4, boundary="open")
+        raw = build_battery_xyz(battery)
+        chargers, kwargs = pt_pair(np.pi / 3, n=4), {}
+    else:
+        battery = 3
+        raw = build_noninteracting_battery(3)
+        chargers, kwargs = rt_pair(0.8, 0.5, n=3), {"init": "thermal", "beta": 1.0}
+    calls = _battery_eig_calls(monkeypatch, [raw.matrix, normalize_spectrum(raw).matrix])
+    delta_p_max(battery, *chargers, t_max=5.0, n_grid=64, **kwargs)
+    assert calls == [False, True]
+
+
+def test_spectrum_is_cached_and_read_only():
+    h = xx_battery(n=3)
+    assert h.spectrum is h.spectrum
+    assert not h.spectrum.values.flags.writeable
+    assert not h.spectrum.vectors.flags.writeable
+    ref = hermitian_eig(h.matrix)
+    assert np.array_equal(h.spectrum.values, ref.values)
+    assert np.array_equal(h.spectrum.vectors, ref.vectors)
 
 
 def test_delta_requires_matching_sites():

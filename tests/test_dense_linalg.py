@@ -7,10 +7,8 @@ from qbattery.dense_linalg import (
     general_eigenvalues,
     hermitian_eig,
     is_defective_at,
-    matrix_exponential,
 )
 from qbattery.errors import NumericRangeError
-from qbattery.tensor_core import Operator, pauli
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -76,20 +74,14 @@ def test_expm_batch_matches_single():
         assert np.max(np.abs(batch[i] - expm_array(stack[i]))) < 1e-12
 
 
-def test_matrix_exponential_operator_wrapper():
-    op = pauli("z")
-    result = matrix_exponential(op, scale=-1j * 0.5)
-    want = np.diag([np.exp(-0.5j), np.exp(0.5j)])
-    assert np.max(np.abs(result.matrix - want)) < 1e-14
-    assert result.n_sites == 1
-
-
 def test_matrix_exponential_overflow():
-    op = Operator(1e3 * np.eye(2, dtype=complex), n_sites=1)
-    with pytest.raises(NumericRangeError):
-        matrix_exponential(op, scale=1.0)
-    with pytest.raises(NumericRangeError):
-        matrix_exponential(op, scale=np.inf)
+    a = 1e3 * np.eye(2, dtype=complex)
+    with pytest.raises(NumericRangeError, match="overflowed"):
+        expm_array(a)
+    with np.errstate(invalid="ignore"):
+        scaled = np.inf * a
+    with pytest.raises(NumericRangeError, match="non-finite input"):
+        expm_array(scaled)
 
 
 # --- Hermitian eigendecomposition -------------------------------------------

@@ -111,6 +111,12 @@ def test_validate_rejects_unknown_and_unsweepable_params():
         cfg.validate()
 
 
+@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+def test_validate_rejects_non_finite_t_max(t_max):
+    with pytest.raises(ValueError, match=f"t_max must be finite and > 0, got {t_max}"):
+        small_map_config(t_max=t_max).validate()
+
+
 def test_grid_values_single_point():
     assert _grid_values(0.3, 9.9, 1) == [0.3]
     grid = _grid_values(0.0, 1.0, 5)

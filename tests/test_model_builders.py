@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -21,10 +24,13 @@ from qbattery.model_builders import (
     check_antilinear_symmetry,
     classify_phase,
     normalize_spectrum,
+    _parity_conjugator,
+    _rotation_conjugator,
 )
 from qbattery.tensor_core import Operator, embed_site, pauli
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -266,3 +272,70 @@ def test_classify_phase():
     below = ChargerSpec(kind=RT, n_sites=2, gamma_prime=g, J=1.0, h_prime=0.35)
     assert classify_phase(build_rt_charger(above)) == UNBROKEN_REAL
     assert classify_phase(build_rt_charger(below)) == BROKEN_COMPLEX
+
+
+# --- exact assembly ---------------------------------------------------------------
+
+
+def kron_embed(m, r, n):
+    return np.kron(np.kron(np.eye(2**r), m), np.eye(2 ** (n - r - 1)))
+
+
+def kron_bond_sum(a, b, n, boundary):
+    bonds = [(r, r + 1) for r in range(n - 1)]
+    if boundary == "periodic" and n > 2:
+        bonds.append((n - 1, 0))
+    return sum(kron_embed(a, r, n) @ kron_embed(b, s, n) for r, s in bonds)
+
+
+def kron_field(m, n):
+    return sum(kron_embed(m, r, n) for r in range(n))
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_battery_assembly_is_exact(n, boundary):
+    J, g, d, h = 0.7, 0.3, -0.4, 1.3
+    spec = BatterySpec(J=J, gamma=g, delta=d, h=h, n_sites=n, boundary=boundary)
+    want = (
+        0.25 * J * ((1.0 + g) * kron_bond_sum(SX, SX, n, boundary) + (1.0 - g) * kron_bond_sum(SY, SY, n, boundary))
+        + 0.25 * d * kron_bond_sum(SZ, SZ, n, boundary)
+        + 0.5 * h * kron_field(SZ, n)
+    )
+    assert np.array_equal(build_battery_xyz(spec).matrix, want)
+
+
+@pytest.mark.parametrize("kind", [RT, RT_HERMITIAN])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rt_charger_assembly_is_exact(n, kind):
+    gp, J, hp = 0.8, 1.1, 0.5
+    aniso = 1j * gp if kind == RT else gp
+    want = (
+        0.25 * J * ((1.0 + aniso) * kron_bond_sum(SX, SX, n, "periodic") + (1.0 - aniso) * kron_bond_sum(SY, SY, n, "periodic"))
+        + 0.5 * hp * kron_field(SZ, n)
+    )
+    spec = ChargerSpec(kind=kind, n_sites=n, gamma_prime=gp, J=J, h_prime=hp)
+    assert np.array_equal(build_rt_charger(spec).matrix, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pt_charger_and_conjugators_are_exact(n):
+    term = SX + 1j * np.sin(1.1) * SZ
+    assert np.array_equal(build_pt_charger(1.1, n).matrix, kron_field(term, n))
+    assert np.array_equal(_parity_conjugator(n), reduce(np.kron, [SX] * n))
+    rot = np.diag(np.exp(-1j * np.pi / 4.0 * np.array([1.0, -1.0])))
+    assert np.array_equal(_rotation_conjugator(n), reduce(np.kron, [rot] * n))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: build_noninteracting_battery(40), lambda: build_pt_charger(1.0, 13)]
+)
+def test_chain_cap_rejects_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="outside the allowed range"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbattery.tensor_core import (
     Operator,
@@ -7,8 +9,8 @@ from qbattery.tensor_core import (
     embed_site,
     max_sites,
     pauli,
+    site_product,
     site_sum,
-    two_site_term,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,23 +70,6 @@ def test_embed_rejects_multisite_operator():
         embed_site(big, 0, 3)
 
 
-def test_two_site_examples():
-    zz = two_site_term(pauli("z"), pauli("z"), 0, 2)
-    assert np.array_equal(zz.matrix, np.diag([1, -1, -1, 1]).astype(complex))
-    # periodic wrap at r = N-1 couples back to site 0
-    xx = two_site_term(pauli("x"), pauli("x"), 1, 2)
-    assert np.array_equal(xx.matrix, np.kron(SX, SX))
-    ii = two_site_term(pauli("identity"), pauli("identity"), 2, 4)
-    assert np.array_equal(ii.matrix, np.eye(16))
-
-
-def test_two_site_open_boundary_edge():
-    with pytest.raises(ValueError):
-        two_site_term(pauli("x"), pauli("x"), 1, 2, boundary="open")
-    # the same bond is fine with periodic wrap
-    two_site_term(pauli("x"), pauli("x"), 1, 2, boundary="periodic")
-
-
 def test_embeddings_commute_on_distinct_sites():
     rng = np.random.default_rng(7)
     axes = ["x", "y", "z"]
@@ -129,3 +114,48 @@ def test_bond_pairs_unique():
     assert bond_pairs(2, "open") == [(0, 1)]
     assert bond_pairs(4, "periodic") == [(0, 1), (1, 2), (2, 3), (3, 0)]
     assert bond_pairs(5, "open") == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_site_product_places_factors_left_to_right():
+    assert np.array_equal(site_product({}, 3), np.eye(8))
+    assert np.array_equal(site_product({0: SX, 2: SZ}, 3), np.kron(np.kron(SX, np.eye(2)), SZ))
+    assert np.array_equal(site_product({2: SZ, 0: SX}, 3), site_product({0: SX, 2: SZ}, 3))
+
+
+def test_site_product_rejects_bad_input(monkeypatch):
+    with pytest.raises(ValueError):
+        site_product({0: SX}, 0)
+    with pytest.raises(ValueError):
+        site_product({3: SX}, 3)
+    with pytest.raises(ValueError):
+        site_product({0: np.eye(4)}, 3)
+    monkeypatch.setenv("QBATTERY_MAX_SITES", "3")
+    with pytest.raises(ValueError):
+        site_product({}, 4)
+
+
+_complex_2x2 = st.lists(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    min_size=4,
+    max_size=4,
+).map(lambda v: np.array(v, dtype=complex).reshape(2, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    a=_complex_2x2,
+    b=_complex_2x2,
+    sites=st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.permutations(range(n)).map(lambda p: p[:2]))
+    ),
+)
+def test_site_product_of_two_sites_is_the_product_of_embeddings(a, b, sites):
+    n, (r, s) = sites
+    # The embeddings commute, so the product is taken left site first, and
+    # summed elementwise: with fused multiply-adds neither a BLAS matmul nor
+    # a complex product with swapped operands rounds identically.
+    if r > s:
+        (r, a), (s, b) = (s, b), (r, a)
+    ea, eb = site_product({r: a}, n), site_product({s: b}, n)
+    want = (ea[:, :, None] * eb[None, :, :]).sum(axis=1)
+    assert np.array_equal(site_product({r: a, s: b}, n), want)
