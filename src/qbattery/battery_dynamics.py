@@ -6,20 +6,27 @@ stored at time t is measured against the battery Hamiltonian and the power is
 ``W(t)/t``.  No sampled state comes from chaining short steps K(dt)^k, so
 snapshots carry no stepping error that grows along the grid.
 
-Grid points, golden-section refinement, single snapshots and the ergotropy
-traces all go through one propagation path with two kernels.  A charger that
-is a sum of one identical 2x2 term per site (the local PT charger and its
-Hermitian twin, which carry ``site_term``) propagates as the exact product
-K(t) = k(t)^(x)N, with k(t) in closed form, including at the exceptional
-point; this costs O(N 2^N) per time for a vector.  Every other charger (the
-RT ring, user matrices) uses dense Pade-13 exponentials on a two-factor grid:
-on an arithmetic progression of m times, each state is
-K(anchor) K(offset) rho0 with both factors built from t = 0, from about
-sqrt(m) anchors and sqrt(m) offsets, so a grid costs ~2 sqrt(m) exponentials
-instead of m.  Any other array of times, and a single time, costs one
-exponential per time.  An N = 6 RT sweep row (two 800-point traces plus
-refinement) takes about 0.8 s on a 2-vCPU machine, against about 6.5 s
-with one exponential per grid time.
+Grid points, single snapshots and the ergotropy traces all go through one
+propagation path with two kernels.  A charger that is a sum of one identical
+2x2 term per site (the local PT charger and its Hermitian twin, which carry
+``site_term``) propagates as the exact product K(t) = k(t)^(x)N, with k(t)
+in closed form, including at the exceptional point; this costs O(N 2^N) per
+time for a vector.  Every other charger (the RT ring, user matrices) uses
+dense Pade-13 exponentials on a two-factor grid: on an arithmetic
+progression of m times, each state is K(anchor) K(offset) rho0 with both
+factors built from t = 0, from about sqrt(m) anchors and sqrt(m) offsets,
+so a grid costs ~2 sqrt(m) exponentials instead of m.  Any other array of
+times, and a single time, costs one exponential per time.
+
+Golden-section refinement of the maximum works inside the bracket
+[lo, hi] around the best grid point: the normalized state at ``lo`` is
+computed once per trace, and each evaluation at t applies K(t - lo) to it,
+the exact per-site product for a charger with a ``site_term`` and otherwise
+a truncated Taylor polynomial applied to the state by Horner's rule (a few
+matrix-vector products, no exponential).  An N = 6 RT sweep row (two
+800-point traces plus refinement) takes about 0.5 s on a 2-vCPU machine,
+against about 6.5 s with one exponential per grid time and per refinement
+point.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ _REFINE_TOL = 1e-6
 _CHUNK_ELEMS = 1 << 20
 # An evenly spaced grid splits to within ~2 ulps of its last time.
 _GRID_RTOL = 8 * float(np.finfo(float).eps)
+# Relative truncation error allowed per Taylor substep.
+_TAYLOR_TOL = 2.0**-53
 
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_INV2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -90,12 +99,12 @@ def _realize_array(values: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _energy(h_mat: np.ndarray, state: QuantumState) -> float:
-    if state.is_pure:
-        v = state.data
-        val = complex(v.conj() @ (h_mat @ v))
+def _energy(h_mat: np.ndarray, rho: np.ndarray) -> float:
+    """tr(H rho) of a state vector or a density matrix."""
+    if rho.ndim == 1:
+        val = complex(rho.conj() @ (h_mat @ rho))
     else:
-        val = complex(np.sum(h_mat * state.data.T))
+        val = complex(np.sum(h_mat * rho.T))
     return _realize(val, "energy expectation")
 
 
@@ -116,17 +125,18 @@ def _site_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.exp(-1j * tau * times)[:, None, None] * k
 
 
-def _product_kernel(term: np.ndarray, n: int, rho0: QuantumState, times: np.ndarray) -> np.ndarray:
-    """Unnormalized k(t)^(x)n applied to rho0: N two-by-two contractions per
-    time for a vector, and N more with conj(k) on the column index for a
-    density matrix."""
-    k = _site_propagators(term, times)
+def _product_kernel(term: np.ndarray, n: int, rho: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Unnormalized k(t)^(x)n applied to the vector or density matrix
+    ``rho``: N two-by-two contractions per time for a vector, and N more with
+    conj(k) on the column index for a density matrix."""
     m = times.size
-    factors = [k] * n if rho0.is_pure else [k] * n + [k.conj()] * n
-    out = np.broadcast_to(rho0.data, (m,) + rho0.data.shape)
-    for r, kr in enumerate(factors):
-        out = np.einsum("kab,klbr->klar", kr, out.reshape(m, 2**r, 2, -1))
-    return out.reshape((m,) + rho0.data.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _site_propagators(term, times)
+        factors = [k] * n if rho.ndim == 1 else [k] * n + [k.conj()] * n
+        out = np.broadcast_to(rho, (m,) + rho.shape)
+        for r, kr in enumerate(factors):
+            out = np.einsum("kab,klbr->klar", kr, out.reshape(m, 2**r, 2, -1))
+    return out.reshape((m,) + rho.shape)
 
 
 def _product_chunks(term: np.ndarray, n: int, rho0: QuantumState, times: np.ndarray):
@@ -135,9 +145,7 @@ def _product_chunks(term: np.ndarray, n: int, rho0: QuantumState, times: np.ndar
     chunk = max(1, _CHUNK_ELEMS // rho0.data.size)
     for start in range(0, times.size, chunk):
         sl = slice(start, min(start + chunk, times.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = _product_kernel(term, n, rho0, times[sl])
-        yield sl, states
+        yield sl, _product_kernel(term, n, rho0.data, times[sl])
 
 
 def _grid_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +203,32 @@ def _grid_chunks(h_mat: np.ndarray, rho0: QuantumState, times: np.ndarray):
         yield sl, states.reshape((-1,) + rho0.data.shape)[: sl.stop - sl.start]
 
 
+def _normalize(states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Normalize a stack of unnormalized states evolved to ``times``: (m, d)
+    vectors to unit norm, (m, d, d) matrices to unit trace and Hermitian.
+
+    Raises NumericRangeError when a state overflowed and
+    NormalizationUnderflowError when its norm or trace fell below the floor.
+    """
+    pure = states.ndim == 2
+    if pure:
+        scale = np.real(np.einsum("ki,ki->k", states.conj(), states))
+    else:
+        scale = np.real(np.einsum("kii->k", states))
+    if not np.all(np.isfinite(scale)):
+        raise NumericRangeError("evolved state overflowed")
+    worst = int(np.argmin(scale))
+    if scale[worst] < _TRACE_FLOOR:
+        raise NormalizationUnderflowError(
+            f"evolved norm underflow at t={times[worst]} (unphysical parameters)"
+        )
+    if pure:
+        states /= np.sqrt(scale)[:, None]
+        return states
+    states /= scale[:, None, None]
+    return 0.5 * (states + _dagger(states))
+
+
 def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
     """Yield ``(slice, states)``: the normalized states evolved from ``rho0``
     to each of ``times``.
@@ -209,23 +243,60 @@ def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
     else:
         chunks = _grid_chunks(h_charge.matrix, rho0, times)
     for sl, states in chunks:
-        if rho0.is_pure:
-            scale = np.real(np.einsum("ki,ki->k", states.conj(), states))
-        else:
-            scale = np.real(np.einsum("kii->k", states))
-        if not np.all(np.isfinite(scale)):
-            raise NumericRangeError("evolved state overflowed")
-        worst = int(np.argmin(scale))
-        if scale[worst] < _TRACE_FLOOR:
-            raise NormalizationUnderflowError(
-                f"evolved norm underflow at t={times[sl][worst]} (unphysical parameters)"
-            )
-        if rho0.is_pure:
-            states /= np.sqrt(scale)[:, None]
-        else:
-            states /= scale[:, None, None]
-            states = 0.5 * (states + _dagger(states))
-        yield sl, states
+        yield sl, _normalize(states, times[sl])
+
+
+def _taylor(gen: np.ndarray, nu: float, x: np.ndarray, delta: float) -> np.ndarray:
+    """exp(gen delta) applied to ``x`` (a vector, or the columns of a matrix)
+    by a truncated Taylor polynomial, with ``nu >= ||gen||_2``.
+
+    The step is split into s = max(1, ceil(nu delta)) substeps of
+    y = nu delta / s <= 1.  Each applies T_m(gen delta / s) by Horner's rule,
+    v <- x + (delta / (s k)) gen v for k = m, ..., 1, with m the smallest
+    degree for which y^(m+1) e^(2y) / (m+1)! <= 2^-53: the remainder
+    y^(m+1) e^y / (m+1)! of the series, relative to the worst shrink
+    ||exp(gen delta / s) x|| >= e^(-y) ||x|| of a non-Hermitian step
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Only the
+    running state is stored.
+    """
+    s = max(1, math.ceil(nu * delta))
+    y = nu * delta / s
+    m, bound = 0, y * math.exp(2.0 * y)
+    while bound > _TAYLOR_TOL:
+        m += 1
+        bound *= y / (m + 1)
+    h = delta / s
+    for _ in range(s):
+        v = x
+        for k in range(m, 0, -1):
+            v = x + (h / k) * (gen @ v)
+        x = v
+    return x
+
+
+def _stepper(h_charge: Operator, seed: np.ndarray):
+    """Return ``step(delta)``: K(delta) applied to the vector or density
+    matrix ``seed`` (K seed K^dag), unnormalized, as a one-state stack.
+
+    A charger with a ``site_term`` steps by the exact per-site product; any
+    other by ``_taylor`` on its dense matrix, applied to both sides of a
+    density matrix as K (K rho)^dag.
+    """
+    term = h_charge.site_term
+    if term is not None:
+        return lambda delta: _product_kernel(term, h_charge.n_sites, seed, np.array([delta]))
+    h_mat = h_charge.matrix
+    gen = -1j * h_mat
+    mag = np.abs(h_mat)
+    nu = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
+
+    def step(delta: float) -> np.ndarray:
+        out = _taylor(gen, nu, seed, delta)
+        if seed.ndim == 2:
+            out = _taylor(gen, nu, _dagger(out), delta)
+        return out[None]
+
+    return step
 
 
 def evolve_normalized(h_charge: Operator, rho0: QuantumState, t: float) -> QuantumState:
@@ -244,7 +315,7 @@ def work(h_b: Operator, rho0: QuantumState, rho_t: QuantumState) -> float:
     """Stored work tr[H_B (rho(t) - rho(0))]."""
     if not (h_b.dim == rho0.dim == rho_t.dim):
         raise ValueError("dimension mismatch between battery and states")
-    return _energy(h_b.matrix, rho_t) - _energy(h_b.matrix, rho0)
+    return _energy(h_b.matrix, rho_t.data) - _energy(h_b.matrix, rho0.data)
 
 
 def _passive_energy(battery_levels: np.ndarray, populations_desc: np.ndarray) -> float:
@@ -259,7 +330,7 @@ def ergotropy(h_b: Operator, rho: QuantumState) -> float:
     (1, 0, ..., 0), so the passive energy is the ground energy.
     """
     levels = h_b.spectrum.values
-    energy = _energy(h_b.matrix, rho)
+    energy = _energy(h_b.matrix, rho.data)
     if rho.is_pure:
         return energy - float(levels[0])
     pops = hermitian_eig(rho.data, compute_vectors=False).values[::-1]
@@ -284,7 +355,7 @@ def work_and_ergotropy(
         raise ValueError("battery, charger and state dimensions differ")
     h_mat = h_b.matrix
     levels = h_b.spectrum.values
-    e_init = _energy(h_mat, rho0)
+    e_init = _energy(h_mat, rho0.data)
     work_vals = np.empty(times.size)
     ergo_vals = np.empty(times.size)
     for sl, states in _evolve(h_charge, rho0, times):
@@ -313,10 +384,13 @@ def power_trace(
     """Work, power and ergotropy on a uniform grid over (0, t_max].
 
     The best grid point is refined by golden-section search in its bracketing
-    interval; ties go to smaller t.  Grid states come from
-    ``work_and_ergotropy``, each refinement point from its own propagator
-    built from t = 0.  ``t_star_at_edge`` flags a grid maximum at
-    t_max, where the true maximum may lie beyond the window.
+    interval [lo, hi]; ties go to smaller t.  Grid states come from
+    ``work_and_ergotropy``.  The normalized state at ``lo`` is computed once,
+    and each refinement point t is K(t - lo) applied to it: the exact
+    per-site product for a charger with a ``site_term``, a Taylor polynomial
+    (a few matrix-vector products) for any other.  ``t_star_at_edge`` flags
+    a grid maximum at t_max, where the true maximum may lie beyond the
+    window.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -325,19 +399,22 @@ def power_trace(
     h_mat = h_b.matrix
     times = t_max * np.arange(1, n_grid + 1) / n_grid
     work_vals, ergo_vals = work_and_ergotropy(h_b, h_charge, rho0, times)
-    e_init = _energy(h_mat, rho0)
+    e_init = _energy(h_mat, rho0.data)
 
     power_vals = work_vals / times
     k_star = int(np.argmax(power_vals))
     p_grid = float(power_vals[k_star])
     t_grid = float(times[k_star])
 
-    def power_at(t: float) -> float:
-        state = evolve_normalized(h_charge, rho0, t)
-        return (_energy(h_mat, state) - e_init) / t
-
     lo = float(times[k_star - 1]) if k_star >= 1 else min(1e-12, 0.5 * t_grid)
     hi = float(times[k_star + 1]) if k_star + 1 < n_grid else float(t_max)
+    _, seed = next(_evolve(h_charge, rho0, np.array([lo])))
+    step = _stepper(h_charge, seed[0])
+
+    def power_at(t: float) -> float:
+        state = _normalize(step(t - lo), np.array([t]))[0]
+        return (_energy(h_mat, state) - e_init) / t
+
     t_ref, p_ref = _golden_max(power_at, lo, hi)
 
     if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):

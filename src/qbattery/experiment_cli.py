@@ -75,6 +75,8 @@ class SweepConfig:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.n_grid < 16:
             raise ValueError(f"n_grid must be >= 16, got {self.n_grid}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0 (0 means automatic), got {self.workers}")
         spec = EXPERIMENTS[self.experiment]
         given = set(self.ranges) | set(self.fixed)
         missing = [p for p in spec.required if p not in given and p not in spec.defaults]
@@ -418,7 +420,8 @@ def run_experiment(config: SweepConfig) -> SweepResult:
             params.update(dict(zip(names, values)))
             payloads.append((config.experiment, params))
         workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
-        if workers == 1 or len(payloads) <= 1:
+        workers = min(workers, len(payloads))
+        if workers <= 1:
             metric_rows = [_compute_row(p) for p in payloads]
         else:
             chunksize = max(1, len(payloads) // (4 * workers))

@@ -1,3 +1,5 @@
+import math
+import os
 import sys
 from functools import reduce
 
@@ -20,6 +22,7 @@ from qbattery.battery_dynamics import (
 )
 from qbattery.dense_linalg import expm_array, hermitian_eig
 from qbattery.errors import ConsistencyError, NormalizationUnderflowError, NumericRangeError
+from qbattery.experiment_cli import load_config
 from qbattery.model_builders import (
     PT,
     PT_HERMITIAN,
@@ -512,6 +515,184 @@ def test_power_trace_rejects_non_finite_t_max(t_max):
     psi = ground_state(battery)
     with pytest.raises(ValueError, match=f"t_max must be finite and > 0, got {t_max}"):
         power_trace(battery, build_pt_charger(0.3, 2), psi, t_max=t_max, n_grid=64)
+
+
+# --- golden-section refinement ------------------------------------------------------
+
+
+def _nu(h_mat):
+    return np.sqrt(np.linalg.norm(h_mat, 1) * np.linalg.norm(h_mat, np.inf))
+
+
+def _mp_evolved(h_mat, delta, states):
+    """K = exp(-i H delta) applied to each vector (K rho K^dag to each
+    matrix) of ``states``, with one 50-digit mpmath exponential."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    with mpmath.workdps(50):
+        k = mpmath.expm(mpmath.matrix(h_mat.tolist()) * mpmath.mpc(0, -delta))
+        for rho in states:
+            x = mpmath.matrix(rho.tolist())
+            y = k * x if rho.ndim == 1 else k * x * k.H
+            out.append(np.array(y.tolist(), dtype=complex).reshape(rho.shape))
+    return out
+
+
+def _non_normal_operator(n):
+    rng = np.random.default_rng(11)
+    d = 2**n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Operator(a / np.sqrt(d), n_sites=n)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kind", ["unbroken", "broken", "non_normal"])
+def test_taylor_step_matches_mpmath(n, kind):
+    if kind == "non_normal":
+        charger = _non_normal_operator(n)
+    else:
+        charger = rt_charger(*(UNBROKEN if kind == "unbroken" else BROKEN), n)
+    battery = xx_battery(n=n, boundary="open")
+    dt = 10.0 / 600
+    # the last step forces s = ceil(nu delta) = 3 Taylor substeps
+    deltas = [0.0, 1e-12, dt, 2 * dt, 2.5 / _nu(charger.matrix)]
+    states = [ground_state(battery).data, thermal_state(battery, beta=1.0).data]
+    for delta in deltas:
+        for rho, want in zip(states, _mp_evolved(charger.matrix, delta, states)):
+            got = battery_dynamics._stepper(charger, rho)(delta)[0]
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (delta, rho.ndim)
+
+
+def test_taylor_step_sizes_follow_the_remainder_bound():
+    charger = rt_charger(*BROKEN, 4)
+    nu = _nu(charger.matrix)
+    x = ground_state(xx_battery(n=4, boundary="open")).data
+    applied = []
+
+    class Gen(np.ndarray):
+        def __matmul__(self, other):
+            applied.append(1)
+            return np.asarray(self) @ other
+
+    gen = (-1j * charger.matrix).view(Gen)
+    for delta, s in [(0.0, 1), (0.5 / nu, 1), (2.5 / nu, 3)]:
+        applied.clear()
+        battery_dynamics._taylor(gen, nu, x, delta)
+        y = nu * delta / s
+        m = len(applied) // s
+        assert len(applied) == m * s
+        bound = lambda m: y ** (m + 1) * np.exp(2 * y) / math.factorial(m + 1)
+        assert bound(m) <= 2.0**-53
+        assert m == 0 or bound(m - 1) > 2.0**-53
+
+
+def test_refinement_builds_one_exponential(monkeypatch):
+    battery = xx_battery(n=4, boundary="open")
+    psi = ground_state(battery)
+    charger = rt_charger(*BROKEN, 4)
+    calls = []
+    expm = battery_dynamics.expm_batch
+    monkeypatch.setattr(
+        battery_dynamics, "expm_batch", lambda a: calls.append(a.shape[0]) or expm(a)
+    )
+    work_and_ergotropy(battery, charger, psi, 10.0 * np.arange(1, 801) / 800)
+    grid_calls = len(calls)
+    calls.clear()
+    power_trace(battery, charger, psi, 10.0, 800)
+    # the grid's exponentials, then the seed at the bracket's left end
+    assert len(calls) == grid_calls + 1
+    assert calls[-1] == 1
+
+
+def _pade_refined(battery, charger, rho0, trace):
+    """``(t_star, p_max)`` of ``trace`` re-refined with a Pade exponential
+    from t = 0 at every golden-section point, on the same grid bracket and
+    with the same tie rule as ``power_trace``."""
+    k = int(np.argmax(trace.power))
+    t_grid, p_grid = float(trace.times[k]), float(trace.power[k])
+    lo = float(trace.times[k - 1]) if k >= 1 else min(1e-12, 0.5 * t_grid)
+    hi = float(trace.times[min(k + 1, trace.times.size - 1)])
+    t_ref, p_ref = battery_dynamics._golden_max(
+        lambda t: work(battery, rho0, evolve_normalized(charger, rho0, t)) / t, lo, hi
+    )
+    if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):
+        return t_ref, p_ref
+    return t_grid, p_grid
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("kind", [RT, RT_HERMITIAN])
+@pytest.mark.parametrize("thermal", [False, True])
+@pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])
+def test_refinement_matches_pade_refinement(n, kind, thermal, params):
+    battery = xx_battery(n=n, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    charger = rt_charger(*params, n, kind)
+    trace = power_trace(battery, charger, rho0, 10.0, 64)
+    assert int(np.argmax(trace.power)) > 0
+    t_star, p_max = _pade_refined(battery, charger, rho0, trace)
+    assert abs(trace.p_max - p_max) <= 1e-12
+    assert abs(trace.t_star - t_star) <= 2e-6
+
+
+def test_refinement_at_left_edge_matches_pade_refinement():
+    # The fig_thermal_pt row at beta = 0: W(t)/t falls from t = 0, so the grid
+    # argmax is the first point and the search converges to t ~ 1e-6, where
+    # W(t)/t carries ~1e-10 of rounding on either path; that rounding, not
+    # the propagator, picks t_star within the last few search widths.
+    battery = xx_battery(n=2, boundary="periodic")
+    rho0 = thermal_state(battery, beta=0.0)
+    charger = build_pt_charger(np.pi / 3, 2)
+    trace = power_trace(battery, charger, rho0, 10.0, 800)
+    assert int(np.argmax(trace.power)) == 0
+    t_star, p_max = _pade_refined(battery, charger, rho0, trace)
+    assert abs(trace.p_max - p_max) <= 1e-9
+    assert max(trace.t_star, t_star) <= 1e-5
+
+
+@pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])
+def test_refinement_with_substeps_matches_rt_oracle(monkeypatch, params):
+    # 16 grid points over t_max = 200 make a 25-wide bracket, so the Taylor
+    # steps need s > 1 substeps.
+    battery = normalize_spectrum(build_noninteracting_battery(2))
+    psi = ground_state(battery)
+    charger = rt_charger(*params, 2)
+    seen = []
+    golden = battery_dynamics._golden_max
+
+    def recorded(f, a, b):
+        return golden(lambda t: seen.append((t, f(t))) or seen[-1][1], a, b)
+
+    monkeypatch.setattr(battery_dynamics, "_golden_max", recorded)
+    trace = power_trace(battery, charger, psi, 200.0, 16)
+    k = int(np.argmax(trace.power))
+    lo = float(trace.times[k - 1]) if k >= 1 else 1e-12
+    assert max(t - lo for t, _ in seen) * _nu(charger.matrix) > 2
+    for t, p in seen:
+        assert abs(p - oracles.rt_power_n2(t, *params)) <= 1e-12
+
+
+# --- the paper's size claim -----------------------------------------------------------
+
+
+def _shipped_window(name):
+    config = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    return config.t_max, config.n_grid
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rt_advantage_persists_with_chain_length(n):
+    t_max, n_grid = _shipped_window("fig_rt_scaling_N.cfg")
+    rec = delta_p_max(n, *rt_pair(0.8, 0.5, n), t_max=t_max, n_grid=n_grid)
+    assert rec.delta > 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pt_advantage_persists_with_chain_length(n):
+    t_max, n_grid = _shipped_window("fig_scaling_N.cfg")
+    battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=n, boundary="open")
+    rec = delta_p_max(battery, *pt_pair(np.pi / 3, n), t_max=t_max, n_grid=n_grid)
+    assert rec.delta > 0
 
 
 # --- ergotropy ---------------------------------------------------------------------

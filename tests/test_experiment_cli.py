@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qbattery import experiment_cli
 from qbattery.battery_dynamics import ergotropy, evolve_normalized, work
 from qbattery.experiment_cli import (
     DEGEN_MARKER,
@@ -115,6 +116,51 @@ def test_validate_rejects_unknown_and_unsweepable_params():
 def test_validate_rejects_non_finite_t_max(t_max):
     with pytest.raises(ValueError, match=f"t_max must be finite and > 0, got {t_max}"):
         small_map_config(t_max=t_max).validate()
+
+
+@pytest.mark.parametrize("workers", [-1, -5000])
+def test_validate_rejects_negative_workers(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 0.*got {workers}"):
+        small_map_config(workers=workers).validate()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the requested pool size and
+    maps in this process, so no worker is ever started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("workers,cpus", [(5000, 2), (0, 5000), (3, 2)])
+def test_run_experiment_caps_pool_at_row_count(monkeypatch, workers, cpus):
+    sizes = []
+    monkeypatch.setattr(
+        experiment_cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(sizes, max_workers)
+    )
+    monkeypatch.setattr(experiment_cli.os, "cpu_count", lambda: cpus)
+    res = run_experiment(small_map_config(workers=workers))
+    assert len(res.rows) == 4
+    assert sizes == [min(workers or cpus, 4)]
+    assert res.rows == run_experiment(small_map_config(workers=1)).rows
+
+
+def test_run_experiment_one_worker_or_one_row_starts_no_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} started")
+
+    monkeypatch.setattr(experiment_cli, "ProcessPoolExecutor", no_pool)
+    run_experiment(small_map_config(workers=1))
+    run_experiment(small_map_config(workers=5000, ranges={"h": (0.5, 0.5, 1), "j_rel": (0.2, 0.2, 1)}))
 
 
 def test_grid_values_single_point():
