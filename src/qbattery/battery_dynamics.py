@@ -80,7 +80,6 @@ class DeltaRecord:
     """Maximum-power difference between a non-Hermitian charger and its
     Hermitian counterpart on identical batteries and initial states."""
 
-    params: dict
     p_max_nonhermitian: float
     p_max_hermitian: float
     delta: float
@@ -488,17 +487,7 @@ def delta_p_max(
         raise ValueError(f"unknown init {init!r}")
     trace_nh = power_trace(h_b, build_charger(nonhermitian), rho0, t_max, n_grid)
     trace_h = power_trace(h_b, build_charger(hermitian), rho0, t_max, n_grid)
-    params = {
-        "battery": battery,
-        "nonhermitian": nonhermitian,
-        "hermitian": hermitian,
-        "init": init,
-        "beta": beta,
-        "t_max": t_max,
-        "n_grid": n_grid,
-    }
     return DeltaRecord(
-        params=params,
         p_max_nonhermitian=trace_nh.p_max,
         p_max_hermitian=trace_h.p_max,
         delta=trace_nh.p_max - trace_h.p_max,

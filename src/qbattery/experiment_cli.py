@@ -6,6 +6,11 @@ Values of the form ``start : stop : count`` declare swept ranges; everything
 else is a fixed parameter.  Rows are emitted in lexicographic order over the
 declared ranges regardless of how many workers computed them, so identical
 configs give byte-identical CSV bodies.
+
+Experiments are data (``ExperimentDef``): a charger family, an initial state,
+parameters and metric names.  Every sweep row runs through one function,
+``_compute_row``, which builds the family's battery and charger pair with
+``_setup`` and compares the pair with ``delta_p_max``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import ast
 import csv
 import math
+import operator
 import os
 import sys
 import time
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form_oracles as oracles
-from .battery_dynamics import delta_p_max, evolve_normalized, work, work_and_ergotropy
+from .battery_dynamics import _build_battery, delta_p_max, evolve_normalized, work, work_and_ergotropy
 from .errors import DegenerateGroundStateError, OracleDomainError, QBatteryError
 from .model_builders import (
     PT,
@@ -34,15 +40,10 @@ from .model_builders import (
     RT_HERMITIAN,
     BatterySpec,
     ChargerSpec,
-    build_battery_xyz,
     build_charger,
-    build_noninteracting_battery,
-    build_pt_charger,
-    build_pt_hermitian_charger,
-    build_rt_charger,
     normalize_spectrum,
 )
-from .state_prep import ground_state, thermal_state
+from .state_prep import ground_state
 
 DEGEN_MARKER = "DEGEN"
 _J_MARGIN = 0.1  # ground-state degeneracy margin for the (h, J) map
@@ -89,6 +90,15 @@ class SweepConfig:
         bad_ranges = [p for p in self.ranges if p not in spec.sweepable]
         if bad_ranges:
             raise ValueError(f"{self.experiment} cannot sweep: {bad_ranges}")
+        for key, value in self.fixed.items():
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        chain_lengths = _grid_values(*self.ranges["n_sites"]) if "n_sites" in self.ranges else []
+        if "n_sites" in self.fixed:
+            chain_lengths.append(self.fixed["n_sites"])
+        for n in chain_lengths:
+            if not float(n).is_integer():
+                raise ValueError(f"n_sites must be an integer, got {n}")
 
 
 @dataclass
@@ -107,149 +117,61 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class ExperimentDef:
+    """One figure as data: the ``family`` charger (PT or RT) against its
+    Hermitian twin, both started from the battery's ``init`` state."""
+
     required: tuple[str, ...]
     sweepable: tuple[str, ...]
     defaults: dict
     metrics: tuple[str, ...]
-    runner: object
+    family: str | None  # None: fig_ergotropy traces one charger of each family
     description: str
+    init: str = "ground"
 
 
-def _battery_spec(params: dict) -> BatterySpec:
-    return BatterySpec(
-        J=float(params["j"]),
-        gamma=float(params.get("gamma", 0.0)),
-        delta=float(params.get("delta", 0.0)),
-        h=float(params["h"]),
-        n_sites=int(round(params["n_sites"])),
-        boundary=str(params.get("boundary", "periodic")),
-    )
+def _setup(family: str, params: dict) -> tuple[BatterySpec | int, ChargerSpec, ChargerSpec]:
+    """What ``delta_p_max`` takes for one charger family: the battery (an XYZ
+    ``BatterySpec`` for PT, the sum-of-sigma-x chain length for RT), then the
+    non-Hermitian and the Hermitian charger."""
+    n = int(params["n_sites"])
+    if family == PT:
+        battery = BatterySpec(
+            J=float(params["j"]),
+            gamma=float(params.get("gamma", 0.0)),
+            delta=float(params.get("delta", 0.0)),
+            h=float(params["h"]),
+            n_sites=n,
+            boundary=str(params.get("boundary", "periodic")),
+        )
+        kinds, charger = (PT, PT_HERMITIAN), {"alpha": float(params["alpha"])}
+    else:
+        battery = n
+        kinds = (RT, RT_HERMITIAN)
+        charger = {"gamma_prime": float(params["gamma_prime"]), "J": 1.0, "h_prime": float(params["h_prime"])}
+    return (battery, *(ChargerSpec(kind=kind, n_sites=n, **charger) for kind in kinds))
 
 
-def _pt_pair(params: dict) -> tuple[ChargerSpec, ChargerSpec]:
-    n = int(round(params["n_sites"]))
-    alpha = float(params["alpha"])
-    return (
-        ChargerSpec(kind=PT, n_sites=n, alpha=alpha),
-        ChargerSpec(kind=PT_HERMITIAN, n_sites=n, alpha=alpha),
-    )
-
-
-def _rt_pair(params: dict) -> tuple[ChargerSpec, ChargerSpec]:
-    n = int(round(params["n_sites"]))
-    g = float(params["gamma_prime"])
-    hp = float(params["h_prime"])
-    return (
-        ChargerSpec(kind=RT, n_sites=n, gamma_prime=g, J=1.0, h_prime=hp),
-        ChargerSpec(kind=RT_HERMITIAN, n_sites=n, gamma_prime=g, J=1.0, h_prime=hp),
-    )
-
-
-def _pt_row(params: dict) -> dict:
-    rec = delta_p_max(
-        _battery_spec(params),
-        *_pt_pair(params),
-        init=params.get("init", "ground"),
-        beta=params.get("beta"),
-        t_max=params["t_max"],
-        n_grid=params["n_grid"],
-    )
-    return {"p_max_pt": rec.p_max_nonhermitian, "p_max_herm": rec.p_max_hermitian}
-
-
-def _pt_map_row(params: dict) -> dict:
-    h = float(params["h"])
-    u = float(params["j_rel"])
-    j_lo = -2.0 * h + _J_MARGIN
-    j_hi = 2.0 * h - _J_MARGIN
-    if j_hi <= j_lo:
-        raise DegenerateGroundStateError(f"no non-degenerate J interval at h={h}")
-    j = j_lo + u * (j_hi - j_lo)
-    rec = delta_p_max(
-        _battery_spec({**params, "j": j}),
-        *_pt_pair(params),
-        t_max=params["t_max"],
-        n_grid=params["n_grid"],
-    )
-    return {
-        "j": j,
-        "p_max_pt": rec.p_max_nonhermitian,
-        "p_max_herm": rec.p_max_hermitian,
-        "delta_p_max": rec.delta,
-    }
-
-
-def _pt_thermal_row(params: dict) -> dict:
-    return _pt_row({**params, "init": "thermal"})
-
-
-def _pt_scaling_row(params: dict) -> dict:
-    rec = delta_p_max(
-        _battery_spec(params),
-        *_pt_pair(params),
-        t_max=params["t_max"],
-        n_grid=params["n_grid"],
-    )
-    return {"p_max_pt": rec.p_max_nonhermitian}
-
-
-def _rt_row(params: dict) -> dict:
-    rec = delta_p_max(
-        int(round(params["n_sites"])),
-        *_rt_pair(params),
-        init=params.get("init", "ground"),
-        beta=params.get("beta"),
-        t_max=params["t_max"],
-        n_grid=params["n_grid"],
-    )
-    return {"p_max_rt": rec.p_max_nonhermitian, "p_max_herm": rec.p_max_hermitian}
-
-
-def _rt_map_row(params: dict) -> dict:
-    out = _rt_row(params)
-    out["delta_p_max"] = out["p_max_rt"] - out["p_max_herm"]
-    return out
-
-
-def _rt_thermal_row(params: dict) -> dict:
-    return _rt_row({**params, "init": "thermal"})
+def _ground_battery(battery: BatterySpec | int):
+    """The normalized battery of ``_setup`` and its ground state."""
+    h_b = normalize_spectrum(_build_battery(battery))
+    return h_b, ground_state(h_b)
 
 
 def _ergotropy_trace(config: SweepConfig) -> SweepResult:
     """Time traces of work and ergotropy for one PT and one RT configuration."""
     params = _merged_fixed(config)
-    start, stop, count = config.ranges["t"]
-    times = _grid_values(start, stop, count)
-    n = int(round(params["n_sites"]))
-
-    battery_pt = normalize_spectrum(build_battery_xyz(_battery_spec(params)))
-    psi_pt = ground_state(battery_pt)
-    charger_pt = build_pt_charger(float(params["alpha"]), n)
-
-    battery_rt = normalize_spectrum(build_noninteracting_battery(n))
-    psi_rt = ground_state(battery_rt)
-    charger_rt = build_rt_charger(
-        ChargerSpec(
-            kind=RT,
-            n_sites=n,
-            gamma_prime=float(params["gamma_prime"]),
-            J=1.0,
-            h_prime=float(params["h_prime"]),
-        )
-    )
-
+    times = _grid_values(*config.ranges["t"])
     if any(t <= 0 for t in times):
         raise ValueError("fig_ergotropy needs t > 0")
-    work_pt, ergo_pt = work_and_ergotropy(battery_pt, charger_pt, psi_pt, times)
-    work_rt, ergo_rt = work_and_ergotropy(battery_rt, charger_rt, psi_rt, times)
-    rows = [
-        (t, float(w_pt), float(e_pt), float(w_rt), float(e_rt))
-        for t, w_pt, e_pt, w_rt, e_rt in zip(times, work_pt, ergo_pt, work_rt, ergo_rt)
-    ]
+    columns = []
+    for family in (PT, RT):
+        battery, charger, _ = _setup(family, params)
+        h_b, psi0 = _ground_battery(battery)
+        columns += work_and_ergotropy(h_b, build_charger(charger), psi0, times)
     return SweepResult(
         param_names=["t"],
         metric_names=list(EXPERIMENTS["fig_ergotropy"].metrics),
-        rows=rows,
+        rows=[(t, *(float(v) for v in values)) for t, *values in zip(times, *columns)],
         metadata={},
     )
 
@@ -275,7 +197,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "h_prime": 1.5,
         },
         metrics=("work_pt", "ergotropy_pt", "work_rt", "ergotropy_rt"),
-        runner=None,  # dedicated trace pipeline
+        family=None,
         description="work and ergotropy vs time for a PT and an RT configuration",
     ),
     "fig_pt_map": ExperimentDef(
@@ -283,7 +205,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("h", "j_rel", "alpha"),
         defaults={"alpha": math.pi / 3.0, "n_sites": 2, "gamma": 0.0, "delta": 0.0, "boundary": "periodic"},
         metrics=("j", "p_max_pt", "p_max_herm", "delta_p_max"),
-        runner=_pt_map_row,
+        family=PT,
         description="P_max difference map over the battery (h, J) plane, PT vs Hermitian charger",
     ),
     "fig_pmax_vs_alpha": ExperimentDef(
@@ -291,7 +213,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("alpha", "n_sites"),
         defaults=_PT_BATTERY_DEFAULTS,
         metrics=("p_max_pt", "p_max_herm"),
-        runner=_pt_row,
+        family=PT,
         description="P_max vs the non-Hermiticity angle of the local charger",
     ),
     "fig_pmax_vs_J": ExperimentDef(
@@ -299,7 +221,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("j", "alpha"),
         defaults=_PT_BATTERY_DEFAULTS,
         metrics=("p_max_pt", "p_max_herm"),
-        runner=_pt_row,
+        family=PT,
         description="P_max vs the battery xy coupling",
     ),
     "fig_scaling_N": ExperimentDef(
@@ -307,7 +229,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("n_sites",),
         defaults={**_PT_BATTERY_DEFAULTS, "alpha": math.pi / 2.0},
         metrics=("p_max_pt",),
-        runner=_pt_scaling_row,
+        family=PT,
         description="P_max vs chain length with a power-law fit in the metadata",
     ),
     "fig_pmax_vs_gamma": ExperimentDef(
@@ -315,7 +237,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("gamma", "alpha"),
         defaults=_PT_BATTERY_DEFAULTS,
         metrics=("p_max_pt", "p_max_herm"),
-        runner=_pt_row,
+        family=PT,
         description="P_max vs battery anisotropy",
     ),
     "fig_pmax_vs_delta": ExperimentDef(
@@ -323,7 +245,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("delta", "alpha"),
         defaults=_PT_BATTERY_DEFAULTS,
         metrics=("p_max_pt", "p_max_herm"),
-        runner=_pt_row,
+        family=PT,
         description="P_max vs battery zz coupling",
     ),
     "fig_thermal_pt": ExperimentDef(
@@ -331,7 +253,8 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("beta", "alpha"),
         defaults={**_PT_BATTERY_DEFAULTS, "n_sites": 2, "boundary": "periodic"},
         metrics=("p_max_pt", "p_max_herm"),
-        runner=_pt_thermal_row,
+        family=PT,
+        init="thermal",
         description="P_max vs inverse temperature of the thermal initial state (PT side)",
     ),
     "fig_rt_map": ExperimentDef(
@@ -339,7 +262,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("gamma_prime", "h_prime"),
         defaults={"n_sites": 2},
         metrics=("p_max_rt", "p_max_herm", "delta_p_max"),
-        runner=_rt_map_row,
+        family=RT,
         description="P_max difference map over the charger (gamma', h') plane, RT vs Hermitian",
     ),
     "fig_rt_vs_gammaprime": ExperimentDef(
@@ -347,7 +270,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("gamma_prime", "h_prime"),
         defaults={"n_sites": 6, "h_prime": 0.5},
         metrics=("p_max_rt", "p_max_herm"),
-        runner=_rt_row,
+        family=RT,
         description="P_max vs the imaginary anisotropy of the RT charger",
     ),
     "fig_rt_scaling_N": ExperimentDef(
@@ -355,7 +278,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("n_sites", "h_prime"),
         defaults={"gamma_prime": 0.8, "h_prime": 0.5},
         metrics=("p_max_rt", "p_max_herm"),
-        runner=_rt_row,
+        family=RT,
         description="P_max vs chain length for the RT charger",
     ),
     "fig_thermal_rt": ExperimentDef(
@@ -363,7 +286,8 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         sweepable=("beta", "gamma_prime"),
         defaults={"gamma_prime": 0.8, "h_prime": 0.5, "n_sites": 4},
         metrics=("p_max_rt", "p_max_herm"),
-        runner=_rt_thermal_row,
+        family=RT,
+        init="thermal",
         description="P_max vs inverse temperature of the thermal initial state (RT side)",
     ),
 }
@@ -380,26 +304,43 @@ def _grid_values(start: float, stop: float, count: int) -> list[float]:
 
 
 def _merged_fixed(config: SweepConfig) -> dict:
-    spec = EXPERIMENTS[config.experiment]
-    params = dict(spec.defaults)
-    params.update(config.fixed)
-    params["t_max"] = config.t_max
-    params["n_grid"] = config.n_grid
-    return params
+    defaults = EXPERIMENTS[config.experiment].defaults
+    return {**defaults, **config.fixed, "t_max": config.t_max, "n_grid": config.n_grid}
 
 
 def _compute_row(payload) -> tuple:
+    """One sweep row of any experiment: its charger pair through
+    ``delta_p_max``, then the experiment's metrics picked by name."""
     experiment, params = payload
-    runner = EXPERIMENTS[experiment].runner
-    metrics = EXPERIMENTS[experiment].metrics
+    spec = EXPERIMENTS[experiment]
+    row = dict(params)
     try:
-        out = runner(params)
+        if "j_rel" in row:  # fig_pt_map: j_rel spans the non-degenerate J interval at h
+            h = float(row["h"])
+            j_lo = -2.0 * h + _J_MARGIN
+            j_hi = 2.0 * h - _J_MARGIN
+            if j_hi <= j_lo:
+                raise DegenerateGroundStateError(f"no non-degenerate J interval at h={h}")
+            row["j"] = j_lo + float(row["j_rel"]) * (j_hi - j_lo)
+        rec = delta_p_max(
+            *_setup(spec.family, row),
+            init=spec.init,
+            beta=row.get("beta"),
+            t_max=row["t_max"],
+            n_grid=row["n_grid"],
+        )
     except DegenerateGroundStateError:
-        return tuple(None for _ in metrics)
+        return tuple(None for _ in spec.metrics)
     except QBatteryError as exc:
         point = {k: v for k, v in params.items() if k not in ("t_max", "n_grid")}
         raise RuntimeError(f"sweep aborted at {point}: {exc}") from exc
-    return tuple(out[name] for name in metrics)
+    values = {
+        "j": row.get("j"),
+        f"p_max_{spec.family}": rec.p_max_nonhermitian,
+        "p_max_herm": rec.p_max_hermitian,
+        "delta_p_max": rec.delta,
+    }
+    return tuple(values[name] for name in spec.metrics)
 
 
 def run_experiment(config: SweepConfig) -> SweepResult:
@@ -410,15 +351,10 @@ def run_experiment(config: SweepConfig) -> SweepResult:
     if config.experiment == "fig_ergotropy":
         result = _ergotropy_trace(config)
     else:
-        names = list(config.ranges.keys())
-        grids = [_grid_values(*config.ranges[name]) for name in names]
+        names = list(config.ranges)
         base = _merged_fixed(config)
-        payloads = []
-        values_list = list(product(*grids))
-        for values in values_list:
-            params = dict(base)
-            params.update(dict(zip(names, values)))
-            payloads.append((config.experiment, params))
+        values_list = list(product(*(_grid_values(*config.ranges[name]) for name in names)))
+        payloads = [(config.experiment, {**base, **dict(zip(names, values))}) for values in values_list]
         workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
         workers = min(workers, len(payloads))
         if workers <= 1:
@@ -446,11 +382,7 @@ def run_experiment(config: SweepConfig) -> SweepResult:
     meta["t_max"] = f"{config.t_max:.17g}"
     meta["n_grid"] = str(config.n_grid)
     if config.experiment == "fig_scaling_N":
-        ok = [
-            (p, m)
-            for p, m in zip((r[0] for r in result.rows), (r[-1] for r in result.rows))
-            if m is not None and m > 0
-        ]
+        ok = [(r[0], r[-1]) for r in result.rows if r[-1] is not None and r[-1] > 0]
         if len(ok) >= 3:
             fit = fit_power_law([int(round(p)) for p, _ in ok], [m for _, m in ok])
             meta["fit_coefficient"] = f"{fit['coefficient']:.17g}"
@@ -590,6 +522,16 @@ def _plot_script(result: SweepResult, csv_name: str) -> str:
 # config file parsing
 
 
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
 def _parse_number(text: str) -> float:
     """Evaluate a numeric config value; bare arithmetic on literals and 'pi'."""
 
@@ -600,27 +542,15 @@ def _parse_number(text: str) -> float:
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            a = ev(node.left)
-            b = ev(node.right)
-            ops = {
-                ast.Add: lambda: a + b,
-                ast.Sub: lambda: a - b,
-                ast.Mult: lambda: a * b,
-                ast.Div: lambda: a / b,
-                ast.Pow: lambda: a**b,
-            }
-            return ops[type(node.op)]()
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            v = ev(node.operand)
-            return v if isinstance(node.op, ast.UAdd) else -v
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            return _UNARY_OPS[type(node.op)](ev(node.operand))
         raise ValueError(f"unsupported expression {text!r}")
 
     try:
         return float(ev(ast.parse(text, mode="eval")))
-    except (SyntaxError, ZeroDivisionError) as exc:
+    except (SyntaxError, ZeroDivisionError, OverflowError, TypeError) as exc:
         raise ValueError(f"cannot parse number {text!r}") from exc
 
 
@@ -676,57 +606,51 @@ def load_config(path: str) -> SweepConfig:
 # oracle equivalence suite
 
 
+def _oracle_cases():
+    """(family, setup parameters, check names, closed-form power, Hermitian
+    power and state) at each N = 2 oracle point: three PT angles on the
+    J = h = 1 XX battery, then four RT (gamma', h') points."""
+    for a in (math.pi / 6.0, math.pi / 3.0, 5.0 * math.pi / 12.0):
+        branches = (oracles.BRANCH_PT_POWER, oracles.BRANCH_PT_HERM_POWER, oracles.BRANCH_PT_STATE)
+        yield (
+            PT,
+            {"alpha": a, "j": 1.0, "h": 1.0},
+            [f"{branch} alpha={a:.4f}" for branch in branches],
+            lambda t, a=a: oracles.pt_power_n2(t, 1.0, 1.0, a),
+            lambda t, a=a: oracles.pt_herm_power_n2(t, 1.0, 1.0, a),
+            lambda t, a=a: oracles.pt_state_n2(a, t),
+        )
+    for g, h in ((0.3, 0.5), (0.8, 0.5), (0.8, 0.2), (1.2, 0.5)):
+        branches = (oracles.rt_power_branch(g, h), oracles.BRANCH_RT_HERM_POWER, oracles.BRANCH_RT_STATE)
+        yield (
+            RT,
+            {"gamma_prime": g, "h_prime": h},
+            [f"{branch} g'={g} h={h}" for branch in branches],
+            lambda t, g=g, h=h: oracles.rt_power_n2(t, g, h),
+            lambda t, g=g, h=h: oracles.rt_herm_power_n2(t, g, h),
+            lambda t, g=g, h=h: oracles.rt_state_n2(g, h, t),
+        )
+
+
 def _oracle_checks() -> list[tuple[str, float, float, bool]]:
     """(name, max_error, tolerance, passed) for every closed-form expression."""
     checks = []
     times = np.linspace(0.01, 10.0, 400)
-
-    battery = normalize_spectrum(
-        build_battery_xyz(BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=2))
-    )
-    psi0 = ground_state(battery)
-    for alpha in (math.pi / 6.0, math.pi / 3.0, 5.0 * math.pi / 12.0):
-        charger = build_pt_charger(alpha, 2)
-        herm = build_pt_hermitian_charger(alpha, 2)
+    for family, point, names, power, herm_power, state_of in _oracle_cases():
+        battery, *specs = _setup(family, {"n_sites": 2, **point})
+        h_b, psi0 = _ground_battery(battery)
+        charger, herm = (build_charger(spec) for spec in specs)
         err_p = err_h = err_s = 0.0
-        for t in times:
-            state = evolve_normalized(charger, psi0, float(t))
-            p_num = work(battery, psi0, state) / float(t)
-            err_p = max(err_p, abs(p_num - oracles.pt_power_n2(float(t), 1.0, 1.0, alpha)))
-            state_h = evolve_normalized(herm, psi0, float(t))
-            p_num_h = work(battery, psi0, state_h) / float(t)
-            err_h = max(err_h, abs(p_num_h - oracles.pt_herm_power_n2(float(t), 1.0, 1.0, alpha)))
+        for t in map(float, times):
+            state = evolve_normalized(charger, psi0, t)
+            err_p = max(err_p, abs(work(h_b, psi0, state) / t - power(t)))
+            state_h = evolve_normalized(herm, psi0, t)
+            err_h = max(err_h, abs(work(h_b, psi0, state_h) / t - herm_power(t)))
             try:
-                ora = oracles.pt_state_n2(alpha, float(t))
+                err_s = max(err_s, abs(1.0 - abs(np.vdot(state_of(t), state.data))))
             except OracleDomainError:
                 continue
-            err_s = max(err_s, abs(1.0 - abs(np.vdot(ora, state.data))))
-        checks.append((f"{oracles.BRANCH_PT_POWER} alpha={alpha:.4f}", err_p, 1e-8, err_p <= 1e-8))
-        checks.append((f"{oracles.BRANCH_PT_HERM_POWER} alpha={alpha:.4f}", err_h, 1e-8, err_h <= 1e-8))
-        checks.append((f"{oracles.BRANCH_PT_STATE} alpha={alpha:.4f}", err_s, 1e-8, err_s <= 1e-8))
-
-    battery_rt = normalize_spectrum(build_noninteracting_battery(2))
-    psi_rt = ground_state(battery_rt)
-    for g, h in ((0.3, 0.5), (0.8, 0.5), (0.8, 0.2), (1.2, 0.5)):
-        charger = build_rt_charger(ChargerSpec(kind=RT, n_sites=2, gamma_prime=g, J=1.0, h_prime=h))
-        herm = build_rt_charger(
-            ChargerSpec(kind=RT_HERMITIAN, n_sites=2, gamma_prime=g, J=1.0, h_prime=h)
-        )
-        err_p = err_h = err_s = 0.0
-        for t in times:
-            state = evolve_normalized(charger, psi_rt, float(t))
-            p_num = work(battery_rt, psi_rt, state) / float(t)
-            err_p = max(err_p, abs(p_num - oracles.rt_power_n2(float(t), g, h)))
-            state_h = evolve_normalized(herm, psi_rt, float(t))
-            p_num_h = work(battery_rt, psi_rt, state_h) / float(t)
-            err_h = max(err_h, abs(p_num_h - oracles.rt_herm_power_n2(float(t), g, h)))
-            err_s = max(
-                err_s, abs(1.0 - abs(np.vdot(oracles.rt_state_n2(g, h, float(t)), state.data)))
-            )
-        branch = oracles.rt_power_branch(g, h)
-        checks.append((f"{branch} g'={g} h={h}", err_p, 1e-8, err_p <= 1e-8))
-        checks.append((f"{oracles.BRANCH_RT_HERM_POWER} g'={g} h={h}", err_h, 1e-8, err_h <= 1e-8))
-        checks.append((f"{oracles.BRANCH_RT_STATE} g'={g} h={h}", err_s, 1e-8, err_s <= 1e-8))
+        checks += [(name, err, 1e-8, err <= 1e-8) for name, err in zip(names, (err_p, err_h, err_s))]
     return checks
 
 
@@ -777,15 +701,16 @@ def main(argv=None) -> int:
         return 0
     if args.command == "oracle-check":
         return 0 if run_oracle_check() else 1
-    config = load_config(args.config)
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.t_max is not None:
-        config.t_max = args.t_max
-    if args.n_grid is not None:
-        config.n_grid = args.n_grid
-    if args.out is not None:
-        config.output_path = args.out
+    try:
+        config = load_config(args.config)
+        overrides = {"workers": args.workers, "t_max": args.t_max, "n_grid": args.n_grid, "output_path": args.out}
+        for name, value in overrides.items():
+            if value is not None:
+                setattr(config, name, value)
+        config.validate()
+    except (ValueError, OSError) as exc:
+        print(f"qbattery: error: {exc}", file=sys.stderr)
+        return 2
     result = run_experiment(config)
     emit_outputs(result, config.output_path, plot=args.plot)
     print(f"wrote {len(result.rows)} rows to {config.output_path}")

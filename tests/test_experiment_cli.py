@@ -1,13 +1,16 @@
 import io
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbattery import experiment_cli
-from qbattery.battery_dynamics import ergotropy, evolve_normalized, work
+from qbattery.battery_dynamics import delta_p_max, ergotropy, evolve_normalized, work
 from qbattery.experiment_cli import (
     DEGEN_MARKER,
     EXPERIMENTS,
@@ -25,6 +28,10 @@ from qbattery.experiment_cli import (
     run_oracle_check,
 )
 from qbattery.model_builders import (
+    PT,
+    PT_HERMITIAN,
+    RT,
+    RT_HERMITIAN,
     BatterySpec,
     ChargerSpec,
     build_battery_xyz,
@@ -61,6 +68,12 @@ def test_parse_number_expressions():
     assert _parse_number("(1+2)/4") == 0.75
     with pytest.raises(ValueError):
         _parse_number("__import__('os')")
+
+
+@pytest.mark.parametrize("text", ["10**400", "(-8)**(1/3)"])
+def test_parse_number_overflow_and_complex_are_value_errors(text):
+    with pytest.raises(ValueError, match="cannot parse number"):
+        _parse_number(text)
 
 
 def test_parse_config_text_roundtrip():
@@ -122,6 +135,41 @@ def test_validate_rejects_non_finite_t_max(t_max):
 def test_validate_rejects_negative_workers(workers):
     with pytest.raises(ValueError, match=f"workers must be >= 0.*got {workers}"):
         small_map_config(workers=workers).validate()
+
+
+@pytest.mark.parametrize(
+    "experiment,ranges,fixed,bad",
+    [
+        ("fig_rt_scaling_N", {"n_sites": (2.0, 5.0, 3)}, {}, "3.5"),
+        ("fig_pt_map", {"h": (0.5, 1.5, 2), "j_rel": (0.2, 0.8, 2)}, {"n_sites": 2.6}, "2.6"),
+    ],
+    ids=["swept", "fixed"],
+)
+def test_validate_rejects_non_integer_n_sites(experiment, ranges, fixed, bad):
+    cfg = SweepConfig(experiment=experiment, ranges=ranges, fixed=fixed)
+    with pytest.raises(ValueError, match=f"n_sites must be an integer, got {bad}"):
+        cfg.validate()
+
+
+def test_validate_accepts_integral_float_n_sites():
+    SweepConfig(experiment="fig_scaling_N", ranges={"n_sites": (2.0, 4.0, 3)}).validate()
+    small_map_config(fixed={"n_sites": 6.0}).validate()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = fig_pt_map\nh = 0.5 : 1 : 2\nj_rel = 0 : 1 : 2\nalpha = 1e999\n",
+        "experiment = fig_rt_map\nh_prime = 0.2 : 0.4 : 2\ngamma_prime = 1e999\n",
+        "experiment = fig_thermal_rt\nbeta = 0.5 : 2 : 2\nh_prime = -1e999\n",
+    ],
+    ids=["alpha", "gamma_prime", "h_prime"],
+)
+def test_validate_rejects_non_finite_fixed_values(text):
+    cfg = parse_config_text(text)
+    key = text.strip().splitlines()[-1].split("=")[0].strip()
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        cfg.validate()
 
 
 class _SerialPool:
@@ -397,6 +445,27 @@ def test_cli_overrides(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize(
+    "text,args,message",
+    [
+        (None, [], "No such file"),
+        ("experiment = fig_rt_map\ngamma_prime = 0.2 : 0.6 : 2\nh_prime = 0.3\n", ["--workers", "-1"], "workers must be >= 0"),
+        ("experiment = fig_rt_map\ngamma_prime = 10**400\n", [], "cannot parse number"),
+        ("experiment = fig_rt_scaling_N\nn_sites = 2 : 5 : 3\n", [], "n_sites must be an integer, got 3.5"),
+    ],
+    ids=["missing-file", "negative-workers", "overflow", "non-integer-n-sites"],
+)
+def test_cli_input_errors_exit_2_without_traceback(tmp_path, capsys, text, args, message):
+    config = tmp_path / "sweep.cfg"
+    if text is not None:
+        config.write_text(text + f"output = {tmp_path / 'out.csv'}\n")
+    assert main(["run", str(config), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qbattery: error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_load_config(tmp_path):
     config = tmp_path / "c.cfg"
     config.write_text("experiment = fig_pt_map\nh = 0.5:1:2\nj_rel = 0:1:2\n")
@@ -410,6 +479,9 @@ def test_oracle_check_passes():
     text = stream.getvalue()
     assert "FAIL" not in text
     assert text.count("PASS") >= 20
+    # names and order are fixed; the error values depend on the machine
+    names = [line.split(" ", 1)[1].rsplit(": max_err=", 1)[0] for line in text.splitlines()]
+    assert names == (DATA_DIR / "oracle_check_names.txt").read_text().splitlines()
 
 
 # --- every pipeline end to end ------------------------------------------------------
@@ -451,6 +523,109 @@ def test_every_experiment_runs_end_to_end(experiment, tmp_path):
     _, names, rows = read_csv(str(path))
     assert names == res.param_names + res.metric_names
     assert len(rows) == expected_rows
+
+
+_PT_SWEEPS = {
+    "fig_pt_map",
+    "fig_pmax_vs_alpha",
+    "fig_pmax_vs_J",
+    "fig_scaling_N",
+    "fig_pmax_vs_gamma",
+    "fig_pmax_vs_delta",
+    "fig_thermal_pt",
+}
+_SWEEPS = sorted(set(EXPERIMENTS) - {"fig_ergotropy"})
+
+
+def _direct_metrics(experiment, p):
+    """A sweep row's metrics from ``delta_p_max`` on specs built here."""
+    n = int(p["n_sites"])
+    j = p.get("j")
+    if experiment in _PT_SWEEPS:
+        if experiment == "fig_pt_map":
+            j_lo, j_hi = -2.0 * p["h"] + 0.1, 2.0 * p["h"] - 0.1
+            j = j_lo + p["j_rel"] * (j_hi - j_lo)
+        battery = BatterySpec(
+            J=j, gamma=p["gamma"], delta=p["delta"], h=p["h"], n_sites=n, boundary=p["boundary"]
+        )
+        nh = ChargerSpec(kind=PT, n_sites=n, alpha=p["alpha"])
+        herm = ChargerSpec(kind=PT_HERMITIAN, n_sites=n, alpha=p["alpha"])
+    else:
+        battery = n
+        rt = {"gamma_prime": p["gamma_prime"], "J": 1.0, "h_prime": p["h_prime"]}
+        nh = ChargerSpec(kind=RT, n_sites=n, **rt)
+        herm = ChargerSpec(kind=RT_HERMITIAN, n_sites=n, **rt)
+    if experiment.startswith("fig_thermal"):
+        rec = delta_p_max(battery, nh, herm, init="thermal", beta=p["beta"], t_max=6.0, n_grid=64)
+    else:
+        rec = delta_p_max(battery, nh, herm, t_max=6.0, n_grid=64)
+    values = {
+        "j": j,
+        "p_max_pt": rec.p_max_nonhermitian,
+        "p_max_rt": rec.p_max_nonhermitian,
+        "p_max_herm": rec.p_max_hermitian,
+        "delta_p_max": rec.delta,
+    }
+    return tuple(values[name] for name in EXPERIMENTS[experiment].metrics)
+
+
+@pytest.mark.parametrize("experiment", _SWEEPS)
+def test_sweep_rows_equal_direct_delta_p_max(experiment):
+    ranges, fixed = _SMOKE_SETUPS[experiment]
+    cfg = SweepConfig(
+        experiment=experiment, ranges=dict(ranges), fixed=dict(fixed), t_max=6.0, n_grid=64, workers=1
+    )
+    res = run_experiment(cfg)
+    assert len(res.rows) == int(np.prod([count for _, _, count in ranges.values()]))
+    for row in res.rows:
+        swept = dict(zip(res.param_names, row))
+        params = {**EXPERIMENTS[experiment].defaults, **fixed, **swept}
+        assert row[len(swept):] == _direct_metrics(experiment, params)
+
+
+_BOUNDS = {
+    "h": (0.2, 2.0),
+    "j_rel": (0.0, 1.0),
+    "alpha": (0.1, 1.5),
+    "j": (-1.0, 1.0),
+    "gamma": (0.0, 0.8),
+    "delta": (-0.8, 0.8),
+    "beta": (0.1, 3.0),
+    "gamma_prime": (0.1, 1.2),
+    "h_prime": (0.1, 1.5),
+}
+
+
+@st.composite
+def _small_sweeps(draw):
+    """A sweep of at least two rows at N <= 3 on a 32-point grid."""
+    experiment = draw(st.sampled_from(_SWEEPS))
+    ranges, fixed = {}, {}
+    for i, name in enumerate(EXPERIMENTS[experiment].required):
+        if name == "n_sites":
+            ranges[name] = (2.0, 3.0, 2)
+            continue
+        lo, hi = _BOUNDS[name]
+        start, stop = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+        ranges[name] = (start, stop, 2 if i == 0 else draw(st.integers(1, 2)))
+    if "n_sites" not in ranges:
+        fixed["n_sites"] = draw(st.sampled_from([2, 3]))
+    t_max = draw(st.floats(2.0, 8.0))
+    return SweepConfig(experiment=experiment, ranges=ranges, fixed=fixed, t_max=t_max, n_grid=32)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(_small_sweeps())
+def test_csv_bodies_identical_across_worker_counts(cfg):
+    bodies = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (1, 2):
+            cfg.workers = workers
+            path = os.path.join(tmp, f"w{workers}.csv")
+            emit_outputs(run_experiment(cfg), path)
+            with open(path, "rb") as fh:
+                bodies.append(b"".join(line for line in fh if not line.startswith(b"#")))
+    assert bodies[0] == bodies[1]
 
 
 def test_shipped_configs_parse_and_validate():
