@@ -3,7 +3,10 @@
 Evolution under a (possibly non-Hermitian) charger is the normalized map
 ``rho -> K rho K^dag / tr(K rho K^dag)`` with ``K = exp(-i H t)``; the work
 stored at time t is measured against the battery Hamiltonian and the power is
-``W(t)/t``.  No sampled state comes from chaining short steps K(dt)^k, so
+the work over t.  Every state propagates as its column block W with
+rho = W W^dag (``QuantumState.factor``), as ``W -> K W / ||K W||_F``: K acts
+on the columns once, and a mixed rho(t) is positive semidefinite by
+construction.  No sampled state comes from chaining short steps K(dt)^k, so
 snapshots carry no stepping error that grows along the grid.
 
 Grid points, single snapshots and the ergotropy traces all go through one
@@ -11,9 +14,9 @@ propagation path with two kernels.  A charger that is a sum of one identical
 2x2 term per site (the local PT charger and its Hermitian twin, which carry
 ``site_term``) propagates as the exact product K(t) = k(t)^(x)N, with k(t)
 in closed form, including at the exceptional point; this costs O(N 2^N) per
-time for a vector.  Every other charger (the RT ring, user matrices) uses
+time and column.  Every other charger (the RT ring, user matrices) uses
 dense Pade-13 exponentials on a two-factor grid: on an arithmetic
-progression of m times, each state is K(anchor) K(offset) rho0 with both
+progression of m times, each state is K(anchor) K(offset) W0 with both
 factors built from t = 0, from about sqrt(m) anchors and sqrt(m) offsets,
 so a grid costs ~2 sqrt(m) exponentials instead of m.  Any other array of
 times, and a single time, costs one exponential per time.
@@ -46,7 +49,7 @@ from .model_builders import (
     build_noninteracting_battery,
     normalize_spectrum,
 )
-from .state_prep import QuantumState, ground_state, thermal_state
+from .state_prep import QuantumState, _mixed, ground_state, thermal_state
 from .tensor_core import Operator
 
 _IM_TOL = 1e-10
@@ -85,12 +88,6 @@ class DeltaRecord:
     delta: float
 
 
-def _realize(value: complex, what: str) -> float:
-    if abs(value.imag) > _IM_TOL:
-        raise ConsistencyError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def _realize_array(values: np.ndarray, what: str) -> np.ndarray:
     worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if worst > _IM_TOL:
@@ -98,13 +95,12 @@ def _realize_array(values: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def _energy(h_mat: np.ndarray, rho: np.ndarray) -> float:
-    """tr(H rho) of a state vector or a density matrix."""
-    if rho.ndim == 1:
-        val = complex(rho.conj() @ (h_mat @ rho))
-    else:
-        val = complex(np.sum(h_mat * rho.T))
-    return _realize(val, "energy expectation")
+def _energy(h_mat: np.ndarray, w: np.ndarray) -> float:
+    """tr(H W W^dag) of the state with column block ``w``."""
+    val = complex(np.vdot(w, h_mat @ w))
+    if abs(val.imag) > _IM_TOL:
+        raise ConsistencyError(f"energy expectation has imaginary residue {val.imag:.3e}")
+    return val.real
 
 
 def _site_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -124,27 +120,25 @@ def _site_propagators(h: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.exp(-1j * tau * times)[:, None, None] * k
 
 
-def _product_kernel(term: np.ndarray, n: int, rho: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Unnormalized k(t)^(x)n applied to the vector or density matrix
-    ``rho``: N two-by-two contractions per time for a vector, and N more with
-    conj(k) on the column index for a density matrix."""
+def _product_kernel(term: np.ndarray, n: int, w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Unnormalized k(t)^(x)n applied to the columns of ``w``: N two-by-two
+    contractions per time."""
     m = times.size
     with np.errstate(over="ignore", invalid="ignore"):
         k = _site_propagators(term, times)
-        factors = [k] * n if rho.ndim == 1 else [k] * n + [k.conj()] * n
-        out = np.broadcast_to(rho, (m,) + rho.shape)
-        for r, kr in enumerate(factors):
-            out = np.einsum("kab,klbr->klar", kr, out.reshape(m, 2**r, 2, -1))
-    return out.reshape((m,) + rho.shape)
+        out = np.broadcast_to(w, (m,) + w.shape)
+        for r in range(n):
+            out = np.einsum("kab,klbr->klar", k, out.reshape(m, 2**r, 2, -1))
+    return out.reshape((m,) + w.shape)
 
 
-def _product_chunks(term: np.ndarray, n: int, rho0: QuantumState, times: np.ndarray):
+def _product_chunks(term: np.ndarray, n: int, w0: np.ndarray, times: np.ndarray):
     """Yield ``(slice, unnormalized states)`` from the per-site product, in
     chunks of times that bound the working memory."""
-    chunk = max(1, _CHUNK_ELEMS // rho0.data.size)
+    chunk = max(1, _CHUNK_ELEMS // w0.size)
     for start in range(0, times.size, chunk):
         sl = slice(start, min(start + chunk, times.size))
-        yield sl, _product_kernel(term, n, rho0.data, times[sl])
+        yield sl, _product_kernel(term, n, w0, times[sl])
 
 
 def _grid_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,53 +161,44 @@ def _grid_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times, np.zeros(1)
 
 
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
-def _grid_chunks(h_mat: np.ndarray, rho0: QuantumState, times: np.ndarray):
+def _grid_chunks(h_mat: np.ndarray, w0: np.ndarray, times: np.ndarray):
     """Yield ``(slice, unnormalized states)`` from the dense Pade exponential.
 
     The state at ``anchors[a] + offsets[b]`` is K(anchors[a]) applied to the
-    offset seed K(offsets[b]) rho0 (K rho0 K^dag for a density matrix), a
-    product of two exponentials that are each built from t = 0, so no
-    stepping error accumulates along the grid.  Exponentials are built in
-    chunks that bound the working memory; each anchor chunk is combined with
-    every seed in one batched product.
+    offset seed K(offsets[b]) W0, a product of two exponentials that are each
+    built from t = 0, so no stepping error accumulates along the grid.
+    Exponentials are built in chunks that bound the working memory; each
+    anchor chunk multiplies every seed at once, the seeds laid side by side
+    as one (d, c r) block.
     """
     anchors, offsets = _grid_split(times)
     gen = -1j * h_mat
     mat_elems = h_mat.size
-    seeds = [rho0.data[None]]
+    d, r = w0.shape
+    seeds = [w0[None]]
     step = max(1, _CHUNK_ELEMS // mat_elems)
     for start in range(1, offsets.size, step):
-        k = expm_batch(offsets[start : start + step, None, None] * gen)
-        seeds.append(k @ rho0.data if rho0.is_pure else k @ rho0.data @ _dagger(k))
+        seeds.append(expm_batch(offsets[start : start + step, None, None] * gen) @ w0)
     seeds = np.concatenate(seeds)
     c = offsets.size
+    block = seeds.transpose(0, 2, 1).reshape(c * r, d).T
     step = max(1, _CHUNK_ELEMS // (mat_elems + seeds.size))
     for start in range(0, anchors.size, step):
         k = expm_batch(anchors[start : start + step, None, None] * gen)
-        if rho0.is_pure:
-            states = (k @ seeds.T).transpose(0, 2, 1)
-        else:
-            states = k[:, None] @ seeds[None] @ _dagger(k)[:, None]
+        states = (k @ block).reshape(-1, d, c, r).transpose(0, 2, 1, 3)
         sl = slice(start * c, min((start + step) * c, times.size))
-        yield sl, states.reshape((-1,) + rho0.data.shape)[: sl.stop - sl.start]
+        yield sl, states.reshape(-1, d, r)[: sl.stop - sl.start]
 
 
 def _normalize(states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Normalize a stack of unnormalized states evolved to ``times``: (m, d)
-    vectors to unit norm, (m, d, d) matrices to unit trace and Hermitian.
+    """Scale each (d, r) block of a stack of unnormalized states evolved to
+    ``times`` to unit Frobenius norm, so that W W^dag has unit trace.
 
     Raises NumericRangeError when a state overflowed and
-    NormalizationUnderflowError when its norm or trace fell below the floor.
+    NormalizationUnderflowError when its norm fell below the floor.
     """
-    pure = states.ndim == 2
-    if pure:
-        scale = np.real(np.einsum("ki,ki->k", states.conj(), states))
-    else:
-        scale = np.real(np.einsum("kii->k", states))
+    flat = states.reshape(states.shape[0], -1)
+    scale = np.real(np.einsum("ki,ki->k", flat.conj(), flat))
     if not np.all(np.isfinite(scale)):
         raise NumericRangeError("evolved state overflowed")
     worst = int(np.argmin(scale))
@@ -221,33 +206,29 @@ def _normalize(states: np.ndarray, times: np.ndarray) -> np.ndarray:
         raise NormalizationUnderflowError(
             f"evolved norm underflow at t={times[worst]} (unphysical parameters)"
         )
-    if pure:
-        states /= np.sqrt(scale)[:, None]
-        return states
-    states /= scale[:, None, None]
-    return 0.5 * (states + _dagger(states))
+    states /= np.sqrt(scale)[:, None, None]
+    return states
 
 
 def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
-    """Yield ``(slice, states)``: the normalized states evolved from ``rho0``
-    to each of ``times``.
+    """Yield ``(slice, states)``: the normalized column blocks W(t), an
+    (m, d, r) stack, evolved from ``rho0.factor`` to each of ``times``.
 
-    States are (m, d) unit vectors for a pure ``rho0`` and (m, d, d) Hermitian
-    unit-trace matrices otherwise.  A charger with a ``site_term`` propagates
-    as the exact per-site product; any other by the two-factor dense grid.
+    A charger with a ``site_term`` propagates as the exact per-site product;
+    any other by the two-factor dense grid.
     """
     term = h_charge.site_term
     if term is not None:
-        chunks = _product_chunks(term, h_charge.n_sites, rho0, times)
+        chunks = _product_chunks(term, h_charge.n_sites, rho0.factor, times)
     else:
-        chunks = _grid_chunks(h_charge.matrix, rho0, times)
+        chunks = _grid_chunks(h_charge.matrix, rho0.factor, times)
     for sl, states in chunks:
         yield sl, _normalize(states, times[sl])
 
 
 def _taylor(gen: np.ndarray, nu: float, x: np.ndarray, delta: float) -> np.ndarray:
-    """exp(gen delta) applied to ``x`` (a vector, or the columns of a matrix)
-    by a truncated Taylor polynomial, with ``nu >= ||gen||_2``.
+    """exp(gen delta) applied to the columns of ``x`` by a truncated Taylor
+    polynomial, with ``nu >= ||gen||_2``.
 
     The step is split into s = max(1, ceil(nu delta)) substeps of
     y = nu delta / s <= 1.  Each applies T_m(gen delta / s) by Horner's rule,
@@ -274,12 +255,11 @@ def _taylor(gen: np.ndarray, nu: float, x: np.ndarray, delta: float) -> np.ndarr
 
 
 def _stepper(h_charge: Operator, seed: np.ndarray):
-    """Return ``step(delta)``: K(delta) applied to the vector or density
-    matrix ``seed`` (K seed K^dag), unnormalized, as a one-state stack.
+    """Return ``step(delta)``: K(delta) applied to the columns of ``seed``,
+    unnormalized, as a one-state stack.
 
     A charger with a ``site_term`` steps by the exact per-site product; any
-    other by ``_taylor`` on its dense matrix, applied to both sides of a
-    density matrix as K (K rho)^dag.
+    other by ``_taylor`` on its dense matrix.
     """
     term = h_charge.site_term
     if term is not None:
@@ -288,52 +268,48 @@ def _stepper(h_charge: Operator, seed: np.ndarray):
     gen = -1j * h_mat
     mag = np.abs(h_mat)
     nu = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
-
-    def step(delta: float) -> np.ndarray:
-        out = _taylor(gen, nu, seed, delta)
-        if seed.ndim == 2:
-            out = _taylor(gen, nu, _dagger(out), delta)
-        return out[None]
-
-    return step
+    return lambda delta: _taylor(gen, nu, seed, delta)[None]
 
 
 def evolve_normalized(h_charge: Operator, rho0: QuantumState, t: float) -> QuantumState:
-    """Propagate with exp(-i H t) and renormalize."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    """Propagate with exp(-i H t) and renormalize: a vector for a pure
+    ``rho0``, and W(t) W(t)^dag, positive semidefinite by construction,
+    otherwise."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if rho0.dim != h_charge.dim:
         raise ValueError("state and charger dimensions differ")
     _, states = next(_evolve(h_charge, rho0, np.array([float(t)])))
-    if rho0.is_pure:
-        return QuantumState.pure(states[0])
-    return QuantumState.density(states[0])
+    return QuantumState.pure(states[0, :, 0]) if rho0.is_pure else _mixed(states[0])
 
 
 def work(h_b: Operator, rho0: QuantumState, rho_t: QuantumState) -> float:
     """Stored work tr[H_B (rho(t) - rho(0))]."""
     if not (h_b.dim == rho0.dim == rho_t.dim):
         raise ValueError("dimension mismatch between battery and states")
-    return _energy(h_b.matrix, rho_t.data) - _energy(h_b.matrix, rho0.data)
+    return _energy(h_b.matrix, rho_t.factor) - _energy(h_b.matrix, rho0.factor)
 
 
-def _passive_energy(battery_levels: np.ndarray, populations_desc: np.ndarray) -> float:
-    return float(np.real(np.sum(populations_desc * battery_levels)))
+def _passive_energies(levels: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Passive-state energy of each normalized (d, r) block W of ``states``:
+    the eigenvalues of W^dag W (descending) paired with the ascending
+    ``levels``, or the ground energy for a single column."""
+    m, _, r = states.shape
+    if r == 1:
+        return np.full(m, levels[0])
+    gram = states.conj().transpose(0, 2, 1) @ states
+    return np.array([
+        float(np.sum(hermitian_eig(g, compute_vectors=False).values[::-1] * levels[:r]))
+        for g in gram
+    ])
 
 
 def ergotropy(h_b: Operator, rho: QuantumState) -> float:
-    """Extractable energy: tr(H_B rho) minus the passive-state energy.
-
-    The passive energy pairs the state's populations (descending) with the
-    battery levels (ascending); for a pure state the populations are
-    (1, 0, ..., 0), so the passive energy is the ground energy.
-    """
-    levels = h_b.spectrum.values
-    energy = _energy(h_b.matrix, rho.data)
-    if rho.is_pure:
-        return energy - float(levels[0])
-    pops = hermitian_eig(rho.data, compute_vectors=False).values[::-1]
-    return energy - _passive_energy(levels, pops)
+    """Extractable energy: tr(H_B rho) minus the passive-state energy, which
+    pairs the state's populations (descending) with the battery levels
+    (ascending)."""
+    w = rho.factor
+    return _energy(h_b.matrix, w) - float(_passive_energies(h_b.spectrum.values, w[None])[0])
 
 
 def work_and_ergotropy(
@@ -343,33 +319,28 @@ def work_and_ergotropy(
 
     No state is stepped from its neighbour: a dense charger's state on an
     arithmetic grid is a product of two exponentials each built from t = 0,
-    and the per-site product is exact at every time.  For a pure state the
-    ergotropy is the energy above the ground level; for a density matrix it
-    pairs the evolved populations with the battery levels.
+    and the per-site product is exact at every time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(times < 0):
         raise ValueError("times must be a 1-d array of values >= 0")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"times must be finite, got {bad[0]}")
     if not (h_b.dim == h_charge.dim == rho0.dim):
         raise ValueError("battery, charger and state dimensions differ")
     h_mat = h_b.matrix
     levels = h_b.spectrum.values
-    e_init = _energy(h_mat, rho0.data)
+    e_init = _energy(h_mat, rho0.factor)
     work_vals = np.empty(times.size)
     ergo_vals = np.empty(times.size)
     for sl, states in _evolve(h_charge, rho0, times):
-        if rho0.is_pure:
-            expect = np.einsum("ki,ki->k", states.conj(), states @ h_mat.T)
-            passive = levels[0]
-        else:
-            expect = np.einsum("kij,ji->k", states, h_mat)
-            passive = np.array([
-                _passive_energy(levels, hermitian_eig(sig, compute_vectors=False).values[::-1])
-                for sig in states
-            ])
+        m, d, r = states.shape
+        cols = states.transpose(0, 2, 1).reshape(m * r, d)
+        expect = np.einsum("ki,ki->k", cols.conj(), cols @ h_mat.T).reshape(m, r).sum(axis=1)
         expect = _realize_array(expect, "work expectation")
         work_vals[sl] = expect - e_init
-        ergo_vals[sl] = expect - passive
+        ergo_vals[sl] = expect - _passive_energies(levels, states)
     return work_vals, ergo_vals
 
 
@@ -398,7 +369,7 @@ def power_trace(
     h_mat = h_b.matrix
     times = t_max * np.arange(1, n_grid + 1) / n_grid
     work_vals, ergo_vals = work_and_ergotropy(h_b, h_charge, rho0, times)
-    e_init = _energy(h_mat, rho0.data)
+    e_init = _energy(h_mat, rho0.factor)
 
     power_vals = work_vals / times
     k_star = int(np.argmax(power_vals))

@@ -67,6 +67,9 @@ class SweepConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {known}")
         if not self.ranges:
             raise ValueError("at least one swept range is required")
+        both = sorted(set(self.ranges) & set(self.fixed))
+        if both:
+            raise ValueError(f"parameters both swept and fixed: {both}")
         for name, (start, stop, count) in self.ranges.items():
             if count < 1:
                 raise ValueError(f"range {name!r} needs count >= 1, got {count}")
@@ -228,7 +231,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         required=("n_sites",),
         sweepable=("n_sites",),
         defaults={**_PT_BATTERY_DEFAULTS, "alpha": math.pi / 2.0},
-        metrics=("p_max_pt",),
+        metrics=("p_max_pt", "p_max_herm"),
         family=PT,
         description="P_max vs chain length with a power-law fit in the metadata",
     ),
@@ -382,7 +385,8 @@ def run_experiment(config: SweepConfig) -> SweepResult:
     meta["t_max"] = f"{config.t_max:.17g}"
     meta["n_grid"] = str(config.n_grid)
     if config.experiment == "fig_scaling_N":
-        ok = [(r[0], r[-1]) for r in result.rows if r[-1] is not None and r[-1] > 0]
+        col = len(result.param_names) + result.metric_names.index("p_max_pt")
+        ok = [(r[0], r[col]) for r in result.rows if r[col] is not None and r[col] > 0]
         if len(ok) >= 3:
             fit = fit_power_law([int(round(p)) for p, _ in ok], [m for _, m in ok])
             meta["fit_coefficient"] = f"{fit['coefficient']:.17g}"
@@ -563,6 +567,7 @@ def parse_config_text(text: str) -> SweepConfig:
     ranges: dict[str, tuple[float, float, int]] = {}
     fixed: dict[str, object] = {}
     options: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -574,6 +579,8 @@ def parse_config_text(text: str) -> SweepConfig:
         value = value.strip()
         if not value:
             raise ValueError(f"line {lineno}: empty value for {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"line {lineno}: {key!r} already set on line {first_line[key]}")
         if key == "experiment":
             experiment = value
         elif key == "output":

@@ -2,40 +2,41 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dense_linalg import hermitian_eig
 from .errors import DegenerateGroundStateError
 from .tensor_core import Operator
-
-PURE_VECTOR = "pure_vector"
-DENSITY_MATRIX = "density_matrix"
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A pure state vector or a density matrix, always normalized."""
+    """A normalized state: a 1-d ``data`` is a pure state vector, a 2-d one
+    a density matrix.
 
-    representation: str
+    ``factor`` is the read-only (d, r) column block W with rho = W W^dag that
+    propagation and measurement use: the vector as one column, or V sqrt(w)
+    from the eigenpairs (w, V) of a density matrix, computed on first use and
+    kept.  It raises ``ValueError`` for an eigenvalue below -1e-10.
+    """
+
     data: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=complex)
-        if self.representation == PURE_VECTOR:
-            if arr.ndim != 1:
-                raise ValueError("pure state data must be a vector")
+        if arr.ndim == 1:
             norm = float(np.sqrt(np.real(arr.conj() @ arr)))
             if abs(norm - 1.0) > 1e-12:
                 if norm < 1e-300:
                     raise ValueError("cannot normalize a zero vector")
                 arr = arr / norm
-        elif self.representation == DENSITY_MATRIX:
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("density matrix must be square")
+        elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
             dev = float(np.max(np.abs(arr - arr.conj().T)))
             if dev > 1e-10 * max(1.0, float(np.max(np.abs(arr)))):
                 raise ValueError(f"density matrix not Hermitian (deviation {dev:.3e})")
@@ -46,7 +47,7 @@ class QuantumState:
                     raise ValueError("density matrix trace underflow")
                 arr = arr / tr
         else:
-            raise ValueError(f"unknown representation {self.representation!r}")
+            raise ValueError(f"state data must be a vector or a square matrix, got {arr.shape}")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("state entries must be finite")
         arr = np.ascontiguousarray(arr)
@@ -59,15 +60,30 @@ class QuantumState:
 
     @property
     def is_pure(self) -> bool:
-        return self.representation == PURE_VECTOR
+        return self.data.ndim == 1
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "QuantumState":
-        return cls(PURE_VECTOR, vector)
+        if np.ndim(vector) != 1:
+            raise ValueError("pure state data must be a vector")
+        return cls(vector)
 
     @classmethod
     def density(cls, matrix: np.ndarray) -> "QuantumState":
-        return cls(DENSITY_MATRIX, matrix)
+        if np.ndim(matrix) != 2:
+            raise ValueError("density matrix must be square")
+        return cls(matrix)
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        if self.is_pure:
+            return self.data[:, None]
+        dec = hermitian_eig(self.data)
+        if dec.values[0] < -1e-10:
+            raise ValueError(f"density matrix has negative eigenvalue {dec.values[0]:.3e}")
+        w = dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))
+        w.setflags(write=False)
+        return w
 
     def density_matrix(self) -> np.ndarray:
         """The state as a density matrix regardless of representation."""
@@ -79,6 +95,14 @@ class QuantumState:
         if self.is_pure:
             return 1.0
         return float(np.real(np.trace(self.data @ self.data)))
+
+
+def _mixed(factor: np.ndarray) -> QuantumState:
+    """W W^dag for a unit-Frobenius W, which it keeps as its ``factor``."""
+    state = QuantumState.density(factor @ factor.conj().T)
+    factor.setflags(write=False)
+    state.__dict__["factor"] = factor
+    return state
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -109,7 +133,8 @@ def ground_state(h: Operator, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) ->
 
 
 def thermal_state(h: Operator, beta: float) -> QuantumState:
-    """Gibbs state exp(-beta H)/Z, computed in the eigenbasis.
+    """Gibbs state exp(-beta H)/Z, computed in the eigenbasis and carrying
+    its factor V sqrt(w) from the spectrum of ``h``.
 
     The largest exponent is factored out before exponentiating so large beta
     stays finite.  ``beta = inf`` returns the projector onto the (possibly
@@ -121,12 +146,8 @@ def thermal_state(h: Operator, beta: float) -> QuantumState:
     vecs = h.spectrum.vectors
     if math.isinf(beta):
         span = max(1.0, abs(float(vals[0])))
-        in_ground = vals - vals[0] <= DEFAULT_DEGENERACY_TOL * span
-        weights = in_ground.astype(float)
-        weights /= weights.sum()
+        weights = (vals - vals[0] <= DEFAULT_DEGENERACY_TOL * span).astype(float)
     else:
-        logw = -beta * (vals - vals[0])
-        weights = np.exp(logw)
-        weights /= weights.sum()
-    rho = (vecs * weights[None, :]) @ vecs.conj().T
-    return QuantumState.density(rho)
+        weights = np.exp(-beta * (vals - vals[0]))
+    weights /= weights.sum()
+    return _mixed(vecs * np.sqrt(weights))

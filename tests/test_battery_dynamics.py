@@ -122,6 +122,65 @@ def test_evolve_product_overflow_raises_numeric_range():
         evolve_normalized(growing, psi, 200.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+@pytest.mark.parametrize("kernel", ["product", "dense"])
+def test_non_finite_times_rejected(kernel, t):
+    battery = xx_battery()
+    psi = ground_state(battery)
+    charger = build_pt_charger(0.3, 2) if kernel == "product" else rt_charger(*BROKEN, 2)
+    assert (charger.site_term is not None) == (kernel == "product")
+    with pytest.raises(ValueError, match=f"t must be finite and >= 0, got {t}"):
+        evolve_normalized(charger, psi, t)
+    with pytest.raises(ValueError, match=f"times must be finite, got {t}"):
+        work_and_ergotropy(battery, charger, psi, [0.5, t, 1.0])
+
+
+def test_non_psd_density_rejected_at_first_use():
+    # trace one, Hermitian, but two negative eigenvalues: not a state
+    rho = QuantumState.density(np.diag([1.5, 0.2, -0.2, -0.5]).astype(complex))
+    battery = normalize_spectrum(build_noninteracting_battery(2))
+    charger = build_charger(rt_pair(0.8, 0.5)[0])
+    with pytest.raises(ValueError, match=r"negative eigenvalue -5\.000e-01"):
+        power_trace(battery, charger, rho, t_max=10.0, n_grid=64)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        evolve_normalized(build_pt_charger(0.3, 2), rho, 1.0)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        ergotropy(battery, rho)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    c_re=st.floats(-3.0, 3.0),
+    c_im=st.floats(-1.0, 1.0),
+    thermal=st.booleans(),
+    kernel=st.sampled_from(["product", "dense"]),
+)
+@example(n=4, c_re=2.5, c_im=-0.8, thermal=True, kernel="product")
+@example(n=4, c_re=2.5, c_im=-0.8, thermal=True, kernel="dense")
+def test_normalized_state_invariant_under_complex_energy_shift(n, c_re, c_im, thermal, kernel):
+    # H -> H + cI multiplies K(t) by the scalar exp(-i c t), which the
+    # normalization removes; the worst difference seen is 6e-16.
+    c = complex(c_re, c_im)
+    battery = xx_battery(n=n, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    if kernel == "product":
+        charger = build_pt_charger(np.pi / 3, n)
+        shifted = site_sum(Operator(charger.site_term + (c / n) * np.eye(2), n_sites=1), n)
+    else:
+        charger = rt_charger(*BROKEN, n)
+        shifted = Operator(charger.matrix + c * np.eye(2**n), n_sites=n)
+    assert (shifted.site_term is not None) == (kernel == "product")
+    worst = max(
+        np.max(np.abs(
+            evolve_normalized(shifted, rho0, t).density_matrix()
+            - evolve_normalized(charger, rho0, t).density_matrix()
+        ))
+        for t in (0.3, 1.7, 5.0)
+    )
+    assert worst <= 1e-10, worst
+
+
 # --- per-site product propagator ---------------------------------------------------
 
 
@@ -525,15 +584,15 @@ def _nu(h_mat):
 
 
 def _mp_evolved(h_mat, delta, states):
-    """K = exp(-i H delta) applied to each vector (K rho K^dag to each
-    matrix) of ``states``, with one 50-digit mpmath exponential."""
+    """K = exp(-i H delta) applied to each column block of ``states``, with
+    one 50-digit mpmath exponential."""
     mpmath = pytest.importorskip("mpmath")
     out = []
     with mpmath.workdps(50):
         k = mpmath.expm(mpmath.matrix(h_mat.tolist()) * mpmath.mpc(0, -delta))
         for rho in states:
             x = mpmath.matrix(rho.tolist())
-            y = k * x if rho.ndim == 1 else k * x * k.H
+            y = k * x
             out.append(np.array(y.tolist(), dtype=complex).reshape(rho.shape))
     return out
 
@@ -556,7 +615,7 @@ def test_taylor_step_matches_mpmath(n, kind):
     dt = 10.0 / 600
     # the last step forces s = ceil(nu delta) = 3 Taylor substeps
     deltas = [0.0, 1e-12, dt, 2 * dt, 2.5 / _nu(charger.matrix)]
-    states = [ground_state(battery).data, thermal_state(battery, beta=1.0).data]
+    states = [ground_state(battery).factor, thermal_state(battery, beta=1.0).factor]
     for delta in deltas:
         for rho, want in zip(states, _mp_evolved(charger.matrix, delta, states)):
             got = battery_dynamics._stepper(charger, rho)(delta)[0]
@@ -817,6 +876,35 @@ def test_delta_row_diagonalizes_its_battery_twice(monkeypatch, row):
     calls = _battery_eig_calls(monkeypatch, [raw.matrix, normalize_spectrum(raw).matrix])
     delta_p_max(battery, *chargers, t_max=5.0, n_grid=64, **kwargs)
     assert calls == [False, True]
+
+
+@pytest.mark.parametrize("family", [PT, RT])
+def test_thermal_row_diagonalizes_only_its_battery_with_vectors(monkeypatch, family):
+    # The Gibbs state hands its factor V sqrt(w) over from the battery
+    # spectrum, so no density matrix is diagonalized with vectors.
+    original = dense_linalg.hermitian_eig
+    calls = []
+
+    def counted(m, compute_vectors=True):
+        calls.append((np.array(getattr(m, "matrix", m)), compute_vectors))
+        return original(m, compute_vectors)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qbattery" and getattr(module, "hermitian_eig", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig", counted)
+    if family == PT:
+        battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=3, boundary="open")
+        h_b = normalize_spectrum(build_battery_xyz(battery))
+        chargers = pt_pair(np.pi / 3, n=3)
+    else:
+        battery = 3
+        h_b = normalize_spectrum(build_noninteracting_battery(3))
+        chargers = rt_pair(0.8, 0.5, n=3)
+    delta_p_max(battery, *chargers, init="thermal", beta=1.0, t_max=5.0, n_grid=64)
+    with_vectors = [m for m, vectors in calls if vectors]
+    assert len(with_vectors) == 1
+    assert np.array_equal(with_vectors[0], h_b.matrix)
+    assert len(calls) > 2 * 64  # the ergotropy traces ran, values only
 
 
 def test_spectrum_is_cached_and_read_only():

@@ -111,6 +111,31 @@ def test_parse_config_errors():
         parse_config_text("experiment = fig_pt_map\nbogus line\n")
 
 
+def test_parse_config_rejects_a_key_given_twice():
+    # the range used to win silently while the metadata reported the fixed value
+    text = (
+        "experiment = fig_rt_map\n"
+        "gamma_prime = 0.5\n"
+        "h_prime = 0.1 : 2.0 : 3\n"
+        "gamma_prime = 0.1 : 0.9 : 2\n"
+    )
+    with pytest.raises(ValueError, match="line 4: 'gamma_prime' already set on line 2"):
+        parse_config_text(text)
+    with pytest.raises(ValueError, match="line 3: 't_max' already set on line 2"):
+        parse_config_text("experiment = fig_pt_map\nt_max = 5\nT_MAX = 8\n")
+
+
+def test_validate_rejects_a_parameter_both_swept_and_fixed():
+    cfg = SweepConfig(
+        experiment="fig_rt_map",
+        ranges={"gamma_prime": (0.1, 0.9, 2), "h_prime": (0.1, 2.0, 3)},
+        fixed={"gamma_prime": 0.5},
+        workers=1,
+    )
+    with pytest.raises(ValueError, match=r"both swept and fixed: \['gamma_prime'\]"):
+        cfg.validate()
+
+
 def test_validate_rejects_unknown_and_unsweepable_params():
     cfg = small_map_config()
     cfg.fixed["shoe_size"] = 42.0
@@ -321,6 +346,9 @@ def test_scaling_experiment_emits_fit_metadata():
     res = run_experiment(cfg)
     assert "fit_exponent" in res.metadata
     assert len(res.rows) == 3
+    col = len(res.param_names) + res.metric_names.index("p_max_pt")
+    fit = fit_power_law([r[0] for r in res.rows], [r[col] for r in res.rows])
+    assert res.metadata["fit_exponent"] == f"{fit['exponent']:.17g}"
 
 
 # --- CSV emission ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,3 +116,47 @@ def test_purity():
     assert psi.purity() == 1.0
     rho = thermal_state(xx_battery(), beta=0.0)
     assert abs(rho.purity() - 0.25) < 1e-12
+
+
+def test_quantum_state_kind_follows_data_shape():
+    assert [f.name for f in dataclasses.fields(QuantumState)] == ["data"]
+    assert QuantumState(np.array([1.0, 0.0])).is_pure
+    assert not QuantumState(np.eye(2) / 2).is_pure
+    with pytest.raises(ValueError):
+        QuantumState.pure(np.eye(2) / 2)
+    with pytest.raises(ValueError):
+        QuantumState.density(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        QuantumState.density(np.ones((2, 3)) / 2)
+    with pytest.raises(ValueError):
+        QuantumState(np.ones((2, 2, 2)))
+
+
+def test_factor_reproduces_the_state():
+    psi = ground_state(xx_battery())
+    assert psi.factor.shape == (4, 1)
+    assert np.array_equal(psi.factor[:, 0], psi.data)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    user = QuantumState.density(a @ a.conj().T)
+    battery = xx_battery(j=0.7, n=3)
+    gibbs = thermal_state(battery, beta=1.3)
+    vals, vecs = np.linalg.eigh(battery.matrix)
+    boltzmann = np.exp(-1.3 * (vals - vals[0]))
+    want = (vecs * (boltzmann / boltzmann.sum())) @ vecs.conj().T
+    assert np.max(np.abs(gibbs.data - want)) < 1e-12
+    for state in (psi, user, gibbs):
+        w = state.factor
+        assert state.factor is w
+        assert not w.flags.writeable
+        assert np.max(np.abs(w @ w.conj().T - state.density_matrix())) < 1e-14
+
+
+def test_factor_rejects_negative_eigenvalue():
+    rho = QuantumState.density(np.diag([1.5, 0.2, -0.2, -0.5]).astype(complex))
+    with pytest.raises(ValueError, match=r"negative eigenvalue -5\.000e-01"):
+        rho.factor
+    # rounding-level negatives of a rank-deficient state are clipped
+    psi = ground_state(xx_battery())
+    proj = QuantumState.density(np.outer(psi.data, psi.data.conj()))
+    assert np.max(np.abs(proj.factor @ proj.factor.conj().T - proj.data)) < 1e-14
