@@ -2,7 +2,8 @@
 
 Everything here is written against plain numpy arrays (matmul/kron only, no
 ``numpy.linalg`` solvers): matrix exponential by scaling-and-squaring with a
-fixed-order Pade core, Hermitian eigendecomposition by Householder
+truncated Taylor core (matmuls only, no linear solve), Hermitian
+eigendecomposition by Householder
 tridiagonalization plus implicit QL, general eigenvalues by Hessenberg
 reduction plus shifted QR, and a rank-based defectiveness test.
 
@@ -22,25 +23,8 @@ from .tensor_core import Operator
 
 _EPS = float(np.finfo(float).eps)
 
-# Pade-13 numerator/denominator coefficients and the corresponding 1-norm
-# threshold for scaling (Higham's scaling-and-squaring constants).
-_PADE13_COEFFS = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.371920351148152
+# Relative truncation error allowed per Taylor polynomial.
+_TAYLOR_TOL = 2.0**-53
 
 # Off-diagonal convergence threshold for the Hermitian eigensolver and the
 # subdiagonal deflation threshold for the QR iteration, both relative.
@@ -75,76 +59,55 @@ def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def _solve_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[i] @ x[i] = b[i] by LU with partial pivoting, batched."""
-    a = a.copy()
-    x = b.copy()
-    nbatch, d, _ = a.shape
-    batch_idx = np.arange(nbatch)
-    pivot_floor = 1e3 * _EPS * max(1.0, float(np.max(np.abs(a))))
-    for col in range(d):
-        piv = np.argmax(np.abs(a[:, col:, col]), axis=1) + col
-        swap = piv != col
-        if np.any(swap):
-            rows = np.where(swap)[0]
-            pr = piv[rows]
-            a[rows, pr], a[rows, col] = a[rows, col].copy(), a[rows, pr].copy()
-            x[rows, pr], x[rows, col] = x[rows, col].copy(), x[rows, pr].copy()
-        pivots = a[batch_idx, col, col]
-        if np.min(np.abs(pivots)) < pivot_floor:
-            raise NumericRangeError("near-singular system in Pade solve")
-        if col + 1 < d:
-            factors = a[:, col + 1 :, col] / pivots[:, None]
-            a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, None, col, col:]
-            x[:, col + 1 :, :] -= factors[:, :, None] * x[:, None, col, :]
-    for col in range(d - 1, -1, -1):
-        if col + 1 < d:
-            x[:, col, :] -= np.einsum(
-                "bk,bkj->bj", a[:, col, col + 1 :], x[:, col + 1 :, :]
-            )
-        x[:, col, :] /= a[:, col, col, None]
-    return x
+def _taylor_degree(y: float) -> int:
+    """Smallest degree m with y^(m+1) e^(2y) / (m+1)! <= 2^-53.
+
+    That is the remainder y^(m+1) e^y / (m+1)! of the Taylor series of
+    exp(A), ||A|| <= y, relative to the worst shrink ||exp(A) x|| >=
+    e^(-y) ||x|| of a non-Hermitian A (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009) and SIAM J. Sci. Comput. 33, 488 (2011));
+    m = 18 at y = 1.
+    """
+    m, bound = 0, y * math.exp(2.0 * y)
+    while bound > _TAYLOR_TOL:
+        m += 1
+        bound *= y / (m + 1)
+    return m
 
 
-def _pade13_batch(a: np.ndarray) -> np.ndarray:
-    b = _PADE13_COEFFS
-    d = a.shape[-1]
-    ident = np.eye(d, dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
-    return _solve_batch(v - u, u + v)
+def _taylor_batch(a: np.ndarray, m: int) -> np.ndarray:
+    """T_m(a) = sum_{k <= m} a^k / k! of a (n, d, d) stack by
+    Paterson-Stockmeyer: with q = isqrt(m), the powers a^2 .. a^q and
+    Horner's rule in a^q on blocks of q coefficients, q - 1 + ceil(m/q) - 1
+    matmuls (7 at m = 18)."""
+    q = max(1, math.isqrt(m))
+    powers = [np.eye(a.shape[-1], dtype=complex), a]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ a)
+    coeffs = [1.0 / math.factorial(k) for k in range(m + 1)]
+    top = max(m - 1, 0) // q
+    r = sum(coeffs[top * q + i] * powers[i] for i in range(m - top * q + 1))
+    for j in range(top - 1, -1, -1):
+        r = r @ powers[q] + sum(coeffs[j * q + i] * powers[i] for i in range(q))
+    return r
 
 
 def _expm_chunk(a: np.ndarray) -> np.ndarray:
-    """exp of a (m, d, d) stack; per-matrix scaling, shared Pade-13 core."""
+    """exp of a (m, d, d) stack: each matrix scaled by 2^-s to 1-norm <= 1,
+    a shared Taylor polynomial per squaring count, then s squarings."""
     norms = _one_norm_batch(a)
     if not np.all(np.isfinite(norms)):
         raise NumericRangeError("non-finite input to matrix exponential")
     squarings = np.zeros(a.shape[0], dtype=int)
-    large = norms > _THETA13
-    squarings[large] = np.ceil(np.log2(norms[large] / _THETA13)).astype(int)
+    large = norms > 1.0
+    squarings[large] = np.ceil(np.log2(norms[large])).astype(int)
     out = np.empty_like(a)
     # Group by squaring count so every sub-batch runs one vectorized path.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in np.unique(squarings):
             idx = np.where(squarings == s)[0]
-            sub = a[idx] * (0.5**s) if s else a[idx]
-            r = _pade13_batch(sub)
+            scale = 0.5**s
+            r = _taylor_batch(a[idx] * scale, _taylor_degree(float(norms[idx].max()) * scale))
             for _ in range(int(s)):
                 r = r @ r
             out[idx] = r

@@ -257,7 +257,7 @@ def _reference_traces(battery, rho0, times, propagator):
 
 def _kron_traces(battery, term, rho0, times):
     """Reference traces from kron(k, ..., k), each 2x2 factor
-    k = exp(-i t term) from the Pade exponential."""
+    k = exp(-i t term) from the dense exponential."""
     n = battery.n_sites
     return _reference_traces(
         battery, rho0, times, lambda t: reduce(np.kron, [expm_array(-1j * t * term)] * n)
@@ -265,7 +265,7 @@ def _kron_traces(battery, term, rho0, times):
 
 
 def _per_time_traces(battery, charger, rho0, times):
-    """Reference traces from one full-matrix Pade exponential per time."""
+    """Reference traces from one full-matrix dense exponential per time."""
     return _reference_traces(
         battery, rho0, times, lambda t: expm_array(-1j * t * charger.matrix)
     )
@@ -284,9 +284,9 @@ def _per_time_traces(battery, charger, rho0, times):
 @example(n=6, alpha=np.pi / 2, twin=True, thermal=True)
 @example(n=6, alpha=np.pi, twin=False, thermal=True)
 def test_product_kernel_matches_dense(n, alpha, twin, thermal):
-    # P_max is compared with the dense Pade path on the full 2^N matrix.  The
+    # P_max is compared with the dense path on the full 2^N matrix.  The
     # traces are compared with dense kron products of exact 2x2 factors: the
-    # full-matrix Pade path loses up to ~1e-6 late in the window where the
+    # full-matrix dense path loses up to ~1e-6 late in the window where the
     # unnormalized norm has grown and shrunk again (N = 6, alpha = 1.3,
     # t = 10, against a 50-digit reference), so it cannot referee them.
     battery = xx_battery(n=n, boundary="open")
@@ -375,7 +375,7 @@ def test_grid_kernel_p_max_matches_per_time_pade(monkeypatch, n, params):
     psi = ground_state(battery)
     charger = rt_charger(*params, n)
     grid = power_trace(battery, charger, psi, 10.0, 200)
-    # one anchor per time and offset 0: a Pade exponential per grid time
+    # one anchor per time and offset 0: a dense exponential per grid time
     monkeypatch.setattr(battery_dynamics, "_grid_split", lambda times: (times, np.zeros(1)))
     per_time = power_trace(battery, charger, psi, 10.0, 200)
     assert abs(grid.p_max - per_time.p_max) <= 1e-12
@@ -416,8 +416,8 @@ def test_grid_kernel_matches_per_time_property(n, gamma_prime, h_prime, hermitia
 def test_grid_kernel_no_less_accurate_than_per_time_pade(alpha):
     # A PT charger given as a plain matrix runs on the dense grid, and its
     # per-site product form is exact to ~1e-15.  Both dense paths carry the
-    # Pade error of a non-normal propagator whose norm grows and shrinks again
-    # (~1e-6 late in the window).  On the 800-point grid of the sweeps the
+    # conditioning error of a non-normal propagator whose norm grows and
+    # shrinks again (~1e-6 late in the window).  On the 800-point grid of the sweeps the
     # grid's largest error must not exceed the per-time one; on some other
     # grids either path can be the worse one at that level.
     battery = xx_battery(n=6, boundary="open")
@@ -664,7 +664,7 @@ def test_refinement_builds_one_exponential(monkeypatch):
 
 
 def _pade_refined(battery, charger, rho0, trace):
-    """``(t_star, p_max)`` of ``trace`` re-refined with a Pade exponential
+    """``(t_star, p_max)`` of ``trace`` re-refined with a dense exponential
     from t = 0 at every golden-section point, on the same grid bracket and
     with the same tie rule as ``power_trace``."""
     k = int(np.argmax(trace.power))

@@ -9,6 +9,7 @@ from qbattery.dense_linalg import (
     is_defective_at,
 )
 from qbattery.errors import NumericRangeError
+from qbattery.model_builders import RT, ChargerSpec, build_rt_charger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -72,6 +73,24 @@ def test_expm_batch_matches_single():
     batch = expm_batch(stack)
     for i in range(stack.shape[0]):
         assert np.max(np.abs(batch[i] - expm_array(stack[i]))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("params", [(0.3, 1.5), (1.2, 0.2)], ids=["unbroken", "broken"])
+def test_expm_batch_matches_mpmath_on_rt_chargers(n, params):
+    # The RT chargers of the sweeps have no product form, so every RT trace
+    # runs through this exponential; (gamma', h') sit in the unbroken and the
+    # broken phase.  The reference exponentiates the same double matrices.
+    mpmath = pytest.importorskip("mpmath")
+    gamma_prime, h_prime = params
+    spec = ChargerSpec(kind=RT, n_sites=n, gamma_prime=gamma_prime, J=1.0, h_prime=h_prime)
+    times = np.array([0.05, 1.0, 5.0, 10.0])
+    stack = times[:, None, None] * (-1j * build_rt_charger(spec).matrix)
+    got = expm_batch(stack)
+    with mpmath.workdps(50):
+        for a, k in zip(stack, got):
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+            assert np.linalg.norm(k - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_matrix_exponential_overflow():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery import experiment_cli
+from qbattery import battery_dynamics, experiment_cli
 from qbattery.battery_dynamics import delta_p_max, ergotropy, evolve_normalized, work
 from qbattery.experiment_cli import (
     DEGEN_MARKER,
@@ -510,6 +510,23 @@ def test_oracle_check_passes():
     # names and order are fixed; the error values depend on the machine
     names = [line.split(" ", 1)[1].rsplit(": max_err=", 1)[0] for line in text.splitlines()]
     assert names == (DATA_DIR / "oracle_check_names.txt").read_text().splitlines()
+
+
+def test_oracle_check_powers_take_the_sweep_grid_route(monkeypatch):
+    # Sweep grids are evenly spaced, so a dense (RT) charger's grid splits
+    # into anchors and offsets; the oracle's power checks must run that
+    # route, one 400-point grid per RT charger, not one exponential per time.
+    splits = []
+    split = battery_dynamics._grid_split
+
+    def recording_split(times):
+        anchors, offsets = split(times)
+        splits.append((times.size, anchors.size, offsets.size))
+        return anchors, offsets
+
+    monkeypatch.setattr(battery_dynamics, "_grid_split", recording_split)
+    assert run_oracle_check(io.StringIO()) is True
+    assert [s for s in splits if s[0] > 1] == [(400, 20, 20)] * 8
 
 
 # --- every pipeline end to end ------------------------------------------------------
