@@ -1,6 +1,6 @@
-"""Closed-form two-site results used to cross-check the numeric pipeline.
+"""Closed-form results used to cross-check the numeric pipeline.
 
-Every function here evaluates an explicit formula for the two-site battery:
+Every function here but ``pt_work_open_xx`` (any N) is for two sites:
 the evolved state and instantaneous power under the local PT charger (and its
 Hermitian counterpart), and under the XY ring charger with imaginary or real
 anisotropy (coupling fixed to unity, field measured in units of the
@@ -183,3 +183,20 @@ def rt_herm_power_n2(t: float, gamma_prime: float, h: float) -> float:
         + math.cos(0.5 * t) * math.cos(0.5 * t * w)
     )
     return (1.0 - bracket) / t
+
+
+def pt_work_open_xx(n: int, alpha: float, t: float, hermitian: bool = False) -> float:
+    """Normalized work of the N-site open XX battery (J = h = 1) from its
+    all-down ground state under the PT charger or, with ``hermitian``, its
+    twin.  The state stays k(t)|down>^(x)N and the raw span is N, so
+    W_N = (2/N) [(N - 1)/4 (x^2 + y^2) + (N/2)(z + 1)] with (x, y, z) the
+    Bloch vector of k(t)|down> = -i S |up> + (cos(w t) + i g S)|down>, where
+    g = i sin(alpha) or sin(alpha), w^2 = 1 + g^2 and S = sin(w t)/w (t at
+    the exceptional point w = 0)."""
+    g = math.sin(alpha) if hermitian else 1j * math.sin(alpha)
+    w = math.sqrt(abs(1.0 + g * g))
+    up = math.sin(w * t) / w if w > 0 else t
+    down = abs(math.cos(w * t) + 1j * g * up) ** 2
+    norm = up * up + down
+    xy2, z = 4.0 * up * up * down / norm**2, (up * up - down) / norm
+    return (2.0 / n) * ((n - 1) / 4.0 * xy2 + (n / 2.0) * (z + 1.0))

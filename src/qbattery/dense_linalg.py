@@ -51,10 +51,6 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def _one_norm_batch(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
 def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
@@ -75,8 +71,8 @@ def _taylor_degree(y: float) -> int:
     return m
 
 
-def _taylor_batch(a: np.ndarray, m: int) -> np.ndarray:
-    """T_m(a) = sum_{k <= m} a^k / k! of a (n, d, d) stack by
+def _taylor_poly(a: np.ndarray, m: int) -> np.ndarray:
+    """T_m(a) = sum_{k <= m} a^k / k! of a square matrix by
     Paterson-Stockmeyer: with q = isqrt(m), the powers a^2 .. a^q and
     Horner's rule in a^q on blocks of q coefficients, q - 1 + ceil(m/q) - 1
     matmuls (7 at m = 18)."""
@@ -92,43 +88,22 @@ def _taylor_batch(a: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
-def _expm_chunk(a: np.ndarray) -> np.ndarray:
-    """exp of a (m, d, d) stack: each matrix scaled by 2^-s to 1-norm <= 1,
-    a shared Taylor polynomial per squaring count, then s squarings."""
-    norms = _one_norm_batch(a)
-    if not np.all(np.isfinite(norms)):
-        raise NumericRangeError("non-finite input to matrix exponential")
-    squarings = np.zeros(a.shape[0], dtype=int)
-    large = norms > 1.0
-    squarings[large] = np.ceil(np.log2(norms[large])).astype(int)
-    out = np.empty_like(a)
-    # Group by squaring count so every sub-batch runs one vectorized path.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in np.unique(squarings):
-            idx = np.where(squarings == s)[0]
-            scale = 0.5**s
-            r = _taylor_batch(a[idx] * scale, _taylor_degree(float(norms[idx].max()) * scale))
-            for _ in range(int(s)):
-                r = r @ r
-            out[idx] = r
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericRangeError("matrix exponential overflowed")
-    return out
-
-
-def expm_batch(stack: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of square matrices; the caller bounds
-    the stack size."""
-    stack = np.asarray(stack, dtype=complex)
-    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
-        raise ValueError(f"expected a (m, d, d) stack, got shape {stack.shape}")
-    return _expm_chunk(stack)
-
-
 def expm_array(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a single square matrix."""
+    """Matrix exponential of a square matrix: scaled by 2^-s to 1-norm <= 1,
+    a Taylor polynomial, then s squarings."""
     a = np.asarray(a, dtype=complex)
-    return _expm_chunk(a[None, :, :])[0]
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise NumericRangeError("non-finite input to matrix exponential")
+    squarings = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    scale = 0.5**squarings
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _taylor_poly(a * scale, _taylor_degree(norm * scale))
+        for _ in range(squarings):
+            r = r @ r
+    if not np.all(np.isfinite(r.view(float))):
+        raise NumericRangeError("matrix exponential overflowed")
+    return r
 
 
 def _check_hermitian(a: np.ndarray) -> None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qbattery import battery_dynamics, dense_linalg
 from qbattery import closed_form_oracles as oracles
 from qbattery.battery_dynamics import (
-    _grid_split,
+    _grid_step,
     _site_propagators,
     delta_p_max,
     ergotropy,
@@ -301,7 +301,7 @@ def test_product_kernel_matches_dense(n, alpha, twin, thermal):
     assert np.max(np.abs(fast.ergotropy - ergo_ref)) <= 1e-10
 
 
-# --- two-factor dense grid --------------------------------------------------------
+# --- dense chain ------------------------------------------------------------------
 
 UNBROKEN, BROKEN = (0.3, 1.5), (1.2, 0.2)  # RT (gamma', h') at N = 2, 4, 6
 
@@ -313,24 +313,26 @@ def rt_charger(gamma_prime, h_prime, n, kind=RT):
 
 
 def test_grid_split_arithmetic_progression():
-    times = 10.0 * np.arange(1, 801) / 800
-    anchors, offsets = _grid_split(times)
-    assert np.array_equal(anchors, times[::29])
-    assert offsets.size == 29 and offsets[0] == 0.0
-    k = np.arange(times.size)
-    assert np.max(np.abs(anchors[k // 29] + offsets[k % 29] - times)) <= 1e-14
+    # Every power_trace grid is chained: its spacing is found, and it starts
+    # at dt, so K(t0) is the step P itself.
+    for t_max in (0.2, 1.0, 6.0, 10.0, 200.0, 1000.0):
+        for n_grid in (16, 64, 400, 600, 800, 2000):
+            times = t_max * np.arange(1, n_grid + 1) / n_grid
+            dt = _grid_step(times)
+            assert dt is not None and abs(times[0] - dt) <= 8 * np.finfo(float).eps * t_max
+            k = np.arange(times.size)
+            assert np.max(np.abs(times[0] + k * dt - times)) <= 1e-15 * max(1.0, t_max)
 
 
 @pytest.mark.parametrize(
-    "times",
-    [[2.5], [0.3, 1.1, 1.2, 4.0, 9.5], [3.0, 2.0, 1.0], [1.0, 1.0, 1.0]],
+    "times, want",
+    [([2.5], 2.5), ([0.3, 1.1, 1.2, 4.0, 9.5], None), ([3.0, 2.0, 1.0], None), ([1.0] * 3, None)],
     ids=["single", "irregular", "decreasing", "constant"],
 )
-def test_grid_split_other_times_one_anchor_each(times):
-    times = np.array(times)
-    anchors, offsets = _grid_split(times)
-    assert np.array_equal(anchors, times)
-    assert np.array_equal(offsets, [0.0])
+def test_grid_split_other_times_one_anchor_each(times, want):
+    # a single time t is the one-point grid K(t) W0; the others have no
+    # spacing, and each time is one Taylor step on from the one before
+    assert _grid_step(np.array(times)) == want
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -359,8 +361,13 @@ def test_grid_kernel_matches_per_time_pade(n, thermal, params):
 @pytest.mark.parametrize("thermal", [False, True])
 @pytest.mark.parametrize(
     "times",
-    [np.linspace(0.37, 10.0, 97), np.array([6.1]), np.array([0.3, 1.1, 1.2, 4.0, 9.5])],
-    ids=["linspace", "single", "irregular"],
+    [
+        np.linspace(0.37, 10.0, 97),
+        np.array([6.1]),
+        np.array([0.3, 1.1, 1.2, 4.0, 9.5]),
+        np.array([4.0, 0.3, 9.5, 1.1, 1.1, 0.0]),
+    ],
+    ids=["linspace", "single", "irregular", "unsorted"],
 )
 def test_grid_kernel_time_arrays_match_per_time_pade(times, thermal):
     battery = xx_battery(n=4, boundary="open")
@@ -370,16 +377,16 @@ def test_grid_kernel_time_arrays_match_per_time_pade(times, thermal):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])
-def test_grid_kernel_p_max_matches_per_time_pade(monkeypatch, n, params):
+def test_grid_kernel_p_max_matches_per_time_pade(n, params):
     battery = xx_battery(n=n, boundary="open")
     psi = ground_state(battery)
     charger = rt_charger(*params, n)
     grid = power_trace(battery, charger, psi, 10.0, 200)
-    # one anchor per time and offset 0: a dense exponential per grid time
-    monkeypatch.setattr(battery_dynamics, "_grid_split", lambda times: (times, np.zeros(1)))
-    per_time = power_trace(battery, charger, psi, 10.0, 200)
-    assert abs(grid.p_max - per_time.p_max) <= 1e-12
-    assert np.max(np.abs(grid.work - per_time.work)) <= 1e-12
+    # a dense exponential per grid time and per refinement point
+    work_ref, _ = _per_time_traces(battery, charger, psi, grid.times)
+    _, p_max = _pade_refined(battery, charger, psi, grid.times, work_ref / grid.times)
+    assert abs(grid.p_max - p_max) <= 1e-12
+    assert np.max(np.abs(grid.work - work_ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("thermal", [False, True])
@@ -389,7 +396,7 @@ def test_grid_kernel_chunking_leaves_states_unchanged(monkeypatch, thermal):
     charger = rt_charger(*BROKEN, 2)
     times = 10.0 * np.arange(1, 49) / 48
     whole = work_and_ergotropy(battery, charger, rho0, times)
-    # several offset chunks, and one anchor per chunk
+    # the chain runs on across chunks of one or two anchor blocks
     monkeypatch.setattr(battery_dynamics, "_CHUNK_ELEMS", 64)
     chunked = work_and_ergotropy(battery, charger, rho0, times)
     for got, want in zip(chunked, whole):
@@ -429,6 +436,60 @@ def test_grid_kernel_no_less_accurate_than_per_time_pade(alpha):
     grid, _ = work_and_ergotropy(battery, plain, psi, times)
     per_time, _ = _per_time_traces(battery, plain, psi, times)
     assert np.max(np.abs(grid - exact)) <= np.max(np.abs(per_time - exact))
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.0])
+def test_dense_chain_floor_case_matches_closed_form(alpha):
+    # The same case against the all-N closed form: the chain's short,
+    # normalized steps bring the error from ~1.5e-6 (every state built from
+    # t = 0) to 4.1e-9 at alpha = 1.3 and 9.8e-9 at 2.0, most of it from
+    # the squarings inside Q = K(29 dt).
+    battery = xx_battery(n=6, boundary="open")
+    psi = ground_state(battery)
+    plain = Operator(build_pt_charger(alpha, 6).matrix, n_sites=6)
+    times = 10.0 * np.arange(1, 801) / 800
+    got, _ = work_and_ergotropy(battery, plain, psi, times)
+    want = np.array([oracles.pt_work_open_xx(6, alpha, t) for t in times])
+    assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def _mp_work_every(battery, charger, psi, delta, count):
+    """Work at delta, 2 delta, ..., count delta from one 50-digit mpmath
+    exponential K(delta), applied again and again and renormalized."""
+    mpmath = pytest.importorskip("mpmath")
+    h = battery.matrix
+    e_init = np.vdot(psi.data, h @ psi.data).real
+    out = []
+    with mpmath.workdps(50):
+        k = mpmath.expm(mpmath.matrix(charger.matrix.tolist()) * mpmath.mpc(0, -delta))
+        x = mpmath.matrix(psi.data.tolist())
+        for _ in range(count):
+            x = k * x
+            x = x / mpmath.norm(x)
+            v = np.array(x.tolist(), dtype=complex).ravel()
+            out.append(np.vdot(v, h @ v).real - e_init)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "n, params",
+    [(2, UNBROKEN), (4, UNBROKEN), (2, BROKEN), (4, BROKEN), (6, BROKEN), (8, BROKEN)],
+    ids=["unbroken-2", "unbroken-4", "broken-2", "broken-4", "broken-6", "broken-8"],
+)
+def test_rt_power_trace_finite_at_long_windows(n, params):
+    # The broken phase used to overflow at t_max 300-1000; chained steps
+    # renormalize as they go.  For N <= 4 the work at t = 100, 200, ...,
+    # 1000 is checked against 50 digits (worst seen 8.3e-13, N = 4 broken).
+    battery = xx_battery(n=n, boundary="open")
+    psi = ground_state(battery)
+    charger = rt_charger(*params, n)
+    trace = power_trace(battery, charger, psi, 1000.0, 800)
+    for values in (trace.work, trace.power, trace.ergotropy):
+        assert np.all(np.isfinite(values))
+    assert math.isfinite(trace.p_max) and 0 < trace.t_star <= 1000.0
+    if n <= 4:
+        want = _mp_work_every(battery, charger, psi, 100.0, 10)
+        assert np.max(np.abs(trace.work[79::80] - want)) <= 1e-12
 
 
 # --- work -----------------------------------------------------------------------
@@ -645,35 +706,58 @@ def test_taylor_step_sizes_follow_the_remainder_bound():
         assert m == 0 or bound(m - 1) > 2.0**-53
 
 
-def test_refinement_builds_one_exponential(monkeypatch):
+def test_dense_trace_builds_at_most_three_exponentials(monkeypatch):
     battery = xx_battery(n=4, boundary="open")
     psi = ground_state(battery)
     charger = rt_charger(*BROKEN, 4)
     calls = []
-    expm = battery_dynamics.expm_batch
-    monkeypatch.setattr(
-        battery_dynamics, "expm_batch", lambda a: calls.append(a.shape[0]) or expm(a)
-    )
-    work_and_ergotropy(battery, charger, psi, 10.0 * np.arange(1, 801) / 800)
-    grid_calls = len(calls)
+    expm = battery_dynamics.expm_array
+    monkeypatch.setattr(battery_dynamics, "expm_array", lambda a: calls.append(1) or expm(a))
+    sweep_grid = 10.0 * np.arange(1, 801) / 800
+    work_and_ergotropy(battery, charger, psi, sweep_grid)
+    assert len(calls) == 2  # P = K(dt) and Q = K(c dt); the grid starts at dt
     calls.clear()
-    power_trace(battery, charger, psi, 10.0, 800)
-    # the grid's exponentials, then the seed at the bracket's left end
-    assert len(calls) == grid_calls + 1
-    assert calls[-1] == 1
+    work_and_ergotropy(battery, charger, psi, np.linspace(0.37, 10.0, 97))
+    assert len(calls) == 3  # and K(t0)
+    calls.clear()
+    work_and_ergotropy(battery, charger, psi, [0.3, 1.1, 4.0])
+    assert calls == []  # Taylor steps
+    evolve_normalized(charger, psi, 2.5)
+    assert len(calls) == 1  # a one-point grid: K(t) alone
+    # refinement builds none, inside the grid and at its left edge (the
+    # fig_thermal_pt row at beta = 0, with the charger as a plain matrix)
+    calls.clear()
+    trace = power_trace(battery, charger, psi, 10.0, 800)
+    assert len(calls) == 2 and int(np.argmax(trace.power)) > 0
+    edge_battery = xx_battery(n=2)
+    plain = Operator(build_pt_charger(np.pi / 3, 2).matrix, n_sites=2)
+    calls.clear()
+    trace = power_trace(edge_battery, plain, thermal_state(edge_battery, beta=0.0), 10.0, 800)
+    assert len(calls) == 2 and int(np.argmax(trace.power)) == 0
 
 
-def _pade_refined(battery, charger, rho0, trace):
-    """``(t_star, p_max)`` of ``trace`` re-refined with a dense exponential
-    from t = 0 at every golden-section point, on the same grid bracket and
-    with the same tie rule as ``power_trace``."""
-    k = int(np.argmax(trace.power))
-    t_grid, p_grid = float(trace.times[k]), float(trace.power[k])
-    lo = float(trace.times[k - 1]) if k >= 1 else min(1e-12, 0.5 * t_grid)
-    hi = float(trace.times[min(k + 1, trace.times.size - 1)])
-    t_ref, p_ref = battery_dynamics._golden_max(
-        lambda t: work(battery, rho0, evolve_normalized(charger, rho0, t)) / t, lo, hi
-    )
+def _per_time_power(battery, charger, rho0):
+    """P(t) from one full-matrix dense exponential built at t."""
+    h = battery.matrix
+    w0 = rho0.factor
+    e_init = np.vdot(w0, h @ w0).real
+
+    def power(t):
+        w = expm_array(-1j * t * charger.matrix) @ w0
+        return (np.vdot(w, h @ w).real / np.vdot(w, w).real - e_init) / t
+
+    return power
+
+
+def _pade_refined(battery, charger, rho0, times, power):
+    """``(t_star, p_max)`` of the grid ``power`` re-refined with a dense
+    exponential from t = 0 at every golden-section point, on the same grid
+    bracket and with the same tie rule as ``power_trace``."""
+    k = int(np.argmax(power))
+    t_grid, p_grid = float(times[k]), float(power[k])
+    lo = float(times[k - 1]) if k >= 1 else min(1e-12, 0.5 * t_grid)
+    hi = float(times[min(k + 1, times.size - 1)])
+    t_ref, p_ref = battery_dynamics._golden_max(_per_time_power(battery, charger, rho0), lo, hi)
     if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):
         return t_ref, p_ref
     return t_grid, p_grid
@@ -689,7 +773,7 @@ def test_refinement_matches_pade_refinement(n, kind, thermal, params):
     charger = rt_charger(*params, n, kind)
     trace = power_trace(battery, charger, rho0, 10.0, 64)
     assert int(np.argmax(trace.power)) > 0
-    t_star, p_max = _pade_refined(battery, charger, rho0, trace)
+    t_star, p_max = _pade_refined(battery, charger, rho0, trace.times, trace.power)
     assert abs(trace.p_max - p_max) <= 1e-12
     assert abs(trace.t_star - t_star) <= 2e-6
 
@@ -704,7 +788,7 @@ def test_refinement_at_left_edge_matches_pade_refinement():
     charger = build_pt_charger(np.pi / 3, 2)
     trace = power_trace(battery, charger, rho0, 10.0, 800)
     assert int(np.argmax(trace.power)) == 0
-    t_star, p_max = _pade_refined(battery, charger, rho0, trace)
+    t_star, p_max = _pade_refined(battery, charger, rho0, trace.times, trace.power)
     assert abs(trace.p_max - p_max) <= 1e-9
     assert max(trace.t_star, t_star) <= 1e-5
 

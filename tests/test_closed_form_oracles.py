@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbattery import closed_form_oracles as cfo
-from qbattery.battery_dynamics import evolve_normalized, work
+from qbattery.battery_dynamics import evolve_normalized, work, work_and_ergotropy
 from qbattery.errors import OracleDomainError
 from qbattery.model_builders import (
     RT,
@@ -16,7 +16,8 @@ from qbattery.model_builders import (
     build_rt_charger,
     normalize_spectrum,
 )
-from qbattery.state_prep import ground_state
+from qbattery.state_prep import QuantumState, ground_state
+from qbattery.tensor_core import Operator
 
 
 def xx_ground():
@@ -196,3 +197,48 @@ def test_rt_power_domain_errors():
         cfo.rt_power_n2(0.0, 0.3, 0.5)
     with pytest.raises(OracleDomainError):
         cfo.rt_herm_power_n2(1.0, 0.0, 0.0)
+
+
+# --- all-N PT work on the open XX battery ----------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pt_work_open_xx_matches_pipeline(n):
+    chargers = [
+        (alpha, build, build is build_pt_hermitian_charger)
+        for alpha in (0.4, np.pi / 3, np.pi / 2, 2.0)
+        for build in (build_pt_charger, build_pt_hermitian_charger)
+    ]
+    raw = build_battery_xyz(
+        BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=n, boundary="open")
+    )
+    if n <= 6:
+        # the full pipeline; it confirms the span N and the all-down ground
+        # state that larger N takes as given (eigensolves take seconds at
+        # N = 8 and minutes at N = 10)
+        battery = normalize_spectrum(raw)
+        assert np.max(np.abs(battery.matrix - (2.0 / n) * raw.matrix)) <= 1e-14
+        psi0 = ground_state(battery)
+        times = 10.0 * np.arange(1, 65) / 64
+        for alpha, build, hermitian in chargers:
+            got, _ = work_and_ergotropy(battery, build(alpha, n), psi0, times)
+            want = [cfo.pt_work_open_xx(n, alpha, t, hermitian) for t in times]
+            assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        battery = Operator((2.0 / n) * raw.matrix, n_sites=n, hermitian=True)
+        psi0 = QuantumState.pure(np.eye(2**n, dtype=complex)[-1])
+        for alpha, build, hermitian in chargers:
+            charger = build(alpha, n)
+            for t in (0.3, 1.7, 6.4):
+                got = work(battery, psi0, evolve_normalized(charger, psi0, t))
+                assert abs(got - cfo.pt_work_open_xx(n, alpha, t, hermitian)) <= 1e-12
+
+
+def test_pt_work_open_xx_two_site_power():
+    # N = 2 agrees with the two-site power expressions away from their
+    # singular points
+    for alpha in (0.4, 1.0, 2.5):
+        for t in (0.5, 1.3, 4.0):
+            assert abs(cfo.pt_work_open_xx(2, alpha, t) / t - cfo.pt_power_n2(t, 1.0, 1.0, alpha)) < 1e-12
+            herm = cfo.pt_work_open_xx(2, alpha, t, hermitian=True) / t
+            assert abs(herm - cfo.pt_herm_power_n2(t, 1.0, 1.0, alpha)) < 1e-12

@@ -3,7 +3,6 @@ import pytest
 
 from qbattery.dense_linalg import (
     expm_array,
-    expm_batch,
     general_eigenvalues,
     hermitian_eig,
     is_defective_at,
@@ -66,27 +65,18 @@ def test_expm_unitary_for_hermitian_generator():
         assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
 
 
-def test_expm_batch_matches_single():
-    rng = np.random.default_rng(13)
-    stack = rng.normal(size=(9, 5, 5)) + 1j * rng.normal(size=(9, 5, 5))
-    stack[4] *= 30.0  # force a different squaring group
-    batch = expm_batch(stack)
-    for i in range(stack.shape[0]):
-        assert np.max(np.abs(batch[i] - expm_array(stack[i]))) < 1e-12
-
-
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("params", [(0.3, 1.5), (1.2, 0.2)], ids=["unbroken", "broken"])
 def test_expm_batch_matches_mpmath_on_rt_chargers(n, params):
     # The RT chargers of the sweeps have no product form, so every RT trace
-    # runs through this exponential; (gamma', h') sit in the unbroken and the
-    # broken phase.  The reference exponentiates the same double matrices.
+    # chains exponentials of this kernel; (gamma', h') sit in the unbroken and
+    # the broken phase.  The reference exponentiates the same double matrices.
     mpmath = pytest.importorskip("mpmath")
     gamma_prime, h_prime = params
     spec = ChargerSpec(kind=RT, n_sites=n, gamma_prime=gamma_prime, J=1.0, h_prime=h_prime)
     times = np.array([0.05, 1.0, 5.0, 10.0])
     stack = times[:, None, None] * (-1j * build_rt_charger(spec).matrix)
-    got = expm_batch(stack)
+    got = [expm_array(a) for a in stack]
     with mpmath.workdps(50):
         for a, k in zip(stack, got):
             want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)

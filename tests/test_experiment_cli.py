@@ -513,20 +513,21 @@ def test_oracle_check_passes():
 
 
 def test_oracle_check_powers_take_the_sweep_grid_route(monkeypatch):
-    # Sweep grids are evenly spaced, so a dense (RT) charger's grid splits
-    # into anchors and offsets; the oracle's power checks must run that
-    # route, one 400-point grid per RT charger, not one exponential per time.
-    splits = []
-    split = battery_dynamics._grid_split
+    # Sweep grids are evenly spaced, so a dense (RT) charger's grid is
+    # chained from K(dt) and K(c dt); the oracle's power checks must run
+    # that route, one 400-point grid of 20 anchor blocks of 20 states per RT
+    # charger, not one exponential per time.
+    chains = []
+    chain = battery_dynamics._chain_chunks
 
-    def recording_split(times):
-        anchors, offsets = split(times)
-        splits.append((times.size, anchors.size, offsets.size))
-        return anchors, offsets
+    def recording_chain(h_mat, w0, times, dt):
+        chunks = list(chain(h_mat, w0, times, dt))
+        chains.append((times.size, sum(states.shape[0] for _, states in chunks)))
+        yield from chunks
 
-    monkeypatch.setattr(battery_dynamics, "_grid_split", recording_split)
+    monkeypatch.setattr(battery_dynamics, "_chain_chunks", recording_chain)
     assert run_oracle_check(io.StringIO()) is True
-    assert [s for s in splits if s[0] > 1] == [(400, 20, 20)] * 8
+    assert [c for c in chains if c[0] > 1] == [(400, 400)] * 8
 
 
 # --- every pipeline end to end ------------------------------------------------------
