@@ -3,9 +3,12 @@
 Everything here is written against plain numpy arrays (matmul/kron only, no
 ``numpy.linalg`` solvers): matrix exponential by scaling-and-squaring with a
 truncated Taylor core (matmuls only, no linear solve), Hermitian
-eigendecomposition by Householder
-tridiagonalization plus implicit QL, general eigenvalues by Hessenberg
-reduction plus shifted QR, and a rank-based defectiveness test.
+eigendecomposition by one Householder tridiagonalization (its reflectors
+kept, Q formed only when all vectors are wanted) with implicit QL for the
+values and, on request, all vectors, or inverse iteration on the
+tridiagonal form for the ground vector alone (``HermitianSpectrum``),
+general eigenvalues by Hessenberg reduction plus shifted QR, and a
+rank-based defectiveness test.
 
 The dimensions of interest are small (<= 2**12), so O(n^3) dense kernels with
 vectorized inner loops are the right tool.
@@ -13,6 +16,7 @@ vectorized inner loops are the right tool.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +35,8 @@ _TAYLOR_TOL = 2.0**-53
 _EIG_OFFDIAG_TOL = 1e-13
 _QR_DEFLATION_TOL = 1e-13
 _QL_MAX_ITER = 60
+_INV_ITER_MAX = 8
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _QR_SWEEP_FACTOR = 100
 
 # Imaginary parts below this (relative) level classify a spectrum as real.
@@ -115,15 +121,19 @@ def _check_hermitian(a: np.ndarray) -> None:
         )
 
 
-def _tridiagonalize(a: np.ndarray, want_q: bool):
-    """Reduce Hermitian a to real symmetric tridiagonal form.
+def _tridiagonalize(a: np.ndarray, fro: float):
+    """Reduce Hermitian a to real symmetric tridiagonal form T = Q^dag a Q.
 
-    Returns (diag, offdiag, q) with a = q T q^dag; q is None when not wanted.
+    Returns (diag, offdiag, reflectors, phases) with Q = H_0 H_1 ... diag(phases):
+    each (k, v) of ``reflectors`` is H = I - 2 v v^dag on the indices k+1
+    onward.  Q itself is never formed here: ``_form_q`` builds it, and
+    ``_apply_q`` applies it to one vector in O(n^2).  ``fro`` is the
+    Frobenius norm of a.
     """
     a = a.copy()
     n = a.shape[0]
-    q = np.eye(n, dtype=complex) if want_q else None
-    scale = max(1.0, _frobenius(a))
+    reflectors = []
+    scale = max(1.0, fro)
     for k in range(n - 2):
         x = a[k + 1 :, k]
         xnorm = math.sqrt(float(np.sum(np.abs(x) ** 2)))
@@ -146,26 +156,99 @@ def _tridiagonalize(a: np.ndarray, want_q: bool):
         tau = float(np.real(v.conj() @ w))
         block -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, v.conj())
         block += (4.0 * tau) * np.outer(v, v.conj())
-        a[k + 1 :, k + 1 :] = block
         a[k + 1, k] = beta
         a[k + 2 :, k] = 0.0
         a[k, k + 1 :] = np.conj(a[k + 1 :, k])
-        if want_q:
-            q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+        reflectors.append((k, v))
     diag = np.real(np.diag(a)).copy()
     off = np.diag(a, -1).copy() if n > 1 else np.zeros(0, dtype=complex)
     # Phase-rotate so the sub-diagonal becomes real non-negative.
     e = np.abs(off)
-    if n > 1:
-        phases = np.ones(n, dtype=complex)
-        for k in range(n - 1):
-            if e[k] > 0.0:
-                phases[k + 1] = off[k] * phases[k] / e[k]
+    phases = np.ones(n, dtype=complex)
+    for k in range(n - 1):
+        if e[k] > 0.0:
+            phases[k + 1] = off[k] * phases[k] / e[k]
+        else:
+            phases[k + 1] = phases[k]
+    return diag, e, reflectors, phases
+
+
+def _form_q(reflectors, phases) -> np.ndarray:
+    """Q = H_0 H_1 ... diag(phases) as a dense matrix."""
+    q = np.eye(phases.size, dtype=complex)
+    for k, v in reflectors:
+        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+    return q * phases[None, :]
+
+
+def _apply_q(reflectors, phases, x) -> np.ndarray:
+    """Q x for one real vector x, the reflectors applied last to first."""
+    y = phases * np.asarray(x)
+    for k, v in reversed(reflectors):
+        tail = y[k + 1 :]
+        tail -= (2.0 * (v.conj() @ tail)) * v
+    return y
+
+
+def _inverse_iteration(diag, off, lam: float, gate: float) -> list[float]:
+    """Unit eigenvector of the real symmetric tridiagonal T (``diag``,
+    ``off``) for its eigenvalue ``lam``, by inverse iteration.
+
+    T - lam I is factored once by Gaussian elimination with partial pivoting
+    (U has two superdiagonals); a pivot below eps ||T|| is raised to that
+    size, a shift error of the order of lam's own.  The fixed start vector
+    1/2 + frac((i + 1) g), g the golden ratio, has no symmetry under index
+    reversal, so it is not orthogonal to an odd eigenvector of a
+    persymmetric T, as all-ones is.  Each step solves, normalizes and
+    measures ||T x - lam x||; at least two steps are made, so the direction
+    is refined once more after the residual first meets ``gate``.  Raises
+    ConvergenceError if it has not after ``_INV_ITER_MAX`` steps.  The O(n)
+    loops run on Python floats: cheaper than numpy's per-call overhead at
+    small n, and nothing next to the O(n^3) reduction at large n.
+    """
+    d, e = diag.tolist(), off.tolist()
+    n = len(d)
+    shifted = [x - lam for x in d]
+    tnorm = max(map(abs, d)) + 2.0 * max(e, default=0.0)
+    pivmin = _EPS * tnorm if tnorm > 0.0 else 1.0
+    u0, u1, u2 = shifted.copy(), e + [0.0], [0.0] * n
+    mult, swap = [0.0] * n, [False] * n
+    for i in range(n - 1):
+        if abs(u0[i]) >= e[i]:
+            if abs(u0[i]) < pivmin:
+                u0[i] = math.copysign(pivmin, u0[i])
+            mult[i] = f = e[i] / u0[i]
+            u0[i + 1] -= f * u1[i]
+        else:
+            mult[i] = f = u0[i] / e[i]
+            swap[i] = True
+            u0[i], u1[i], u0[i + 1] = e[i], u0[i + 1], u1[i] - f * u0[i + 1]
+            u2[i], u1[i + 1] = u1[i + 1], -f * u1[i + 1]
+    if abs(u0[-1]) < pivmin:
+        u0[-1] = math.copysign(pivmin, u0[-1])
+    pad = [0.0] + e + [0.0]
+    x = [0.5 + math.fmod((i + 1) * _GOLDEN, 1.0) for i in range(n)]
+    for step in range(_INV_ITER_MAX):
+        for i in range(n - 1):
+            if swap[i]:
+                x[i], x[i + 1] = x[i + 1], x[i] - mult[i] * x[i + 1]
             else:
-                phases[k + 1] = phases[k]
-        if want_q:
-            q = q * phases[None, :]
-    return diag, e, q
+                x[i + 1] -= mult[i] * x[i]
+        x += [0.0, 0.0]
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+        norm = math.hypot(*x)
+        if not 0.0 < norm < math.inf:
+            break
+        x = [v / norm for v in x[:n]]
+        xp = [0.0] + x + [0.0]
+        resid = math.hypot(*[
+            s * v + a * p + b * q
+            for s, v, a, p, b, q in zip(shifted, x, pad, xp, pad[1:], xp[2:])
+        ])
+        if step and resid <= gate:
+            return x
+    raise ConvergenceError(f"inverse iteration failed to converge for dimension {n}")
 
 
 def _ql_implicit(diag, off, q, off_tol):
@@ -236,23 +319,53 @@ def _ql_implicit(diag, off, q, off_tol):
     return d, q
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class HermitianSpectrum:
+    """The spectrum of one Hermitian matrix, from one Householder reduction
+    to a real tridiagonal T.
+
+    ``values`` (ascending) come from the QL iteration on T without vectors
+    and are computed on construction.  ``ground``, the eigenvector of
+    ``values[0]`` by inverse iteration on T and the stored reflectors
+    (O(n^2) past the reduction), and ``vectors``, all eigenvectors by the
+    rotation-accumulating QL on the same T, are each computed on first read
+    and kept.  Every array is read-only.  Raises ``ValueError`` for a matrix
+    that is not numerically Hermitian.
+    """
+
+    def __init__(self, m):
+        a = _as_matrix(m)
+        _check_hermitian(a)
+        herm = 0.5 * (a + a.conj().T)
+        fro = _frobenius(herm)
+        self._off_tol = _EIG_OFFDIAG_TOL * fro
+        self._diag, self._off, self._reflectors, self._phases = _tridiagonalize(herm, fro)
+        vals, _ = _ql_implicit(self._diag, self._off, None, self._off_tol)
+        self._order = np.argsort(vals, kind="stable")
+        self.values = _frozen(vals[self._order])
+
+    @functools.cached_property
+    def ground(self) -> np.ndarray:
+        x = _inverse_iteration(self._diag, self._off, float(self.values[0]), self._off_tol)
+        return _frozen(_apply_q(self._reflectors, self._phases, x))
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        q = _form_q(self._reflectors, self._phases)
+        _, q = _ql_implicit(self._diag, self._off, q, self._off_tol)
+        return _frozen(q[:, self._order])
+
+
 def hermitian_eig(m, compute_vectors: bool = True) -> EigenDecomposition:
-    """Full spectrum (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    a = _as_matrix(m)
-    _check_hermitian(a)
-    n = a.shape[0]
-    if n == 1:
-        vals = np.array([float(np.real(a[0, 0]))])
-        vecs = np.ones((1, 1), dtype=complex) if compute_vectors else None
-        return EigenDecomposition(vals, vecs)
-    herm = 0.5 * (a + a.conj().T)
-    off_tol = _EIG_OFFDIAG_TOL * _frobenius(herm)
-    diag, off, q = _tridiagonalize(herm, want_q=compute_vectors)
-    vals, q = _ql_implicit(diag, off, q, off_tol)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = q[:, order] if compute_vectors else None
-    return EigenDecomposition(vals, vecs)
+    """Full spectrum (ascending) and orthonormal eigenvectors of a Hermitian
+    matrix, read-only.  An ``Operator``'s are those of its cached
+    ``spectrum``, so it is reduced once however often it is asked."""
+    spec = m.spectrum if isinstance(m, Operator) else HermitianSpectrum(m)
+    return EigenDecomposition(spec.values, spec.vectors if compute_vectors else None)
 
 
 def _hessenberg(a: np.ndarray) -> np.ndarray:

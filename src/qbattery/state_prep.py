@@ -116,20 +116,20 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def ground_state(h: Operator, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> QuantumState:
-    """Eigenvector of the smallest eigenvalue, phase-fixed.
+    """Eigenvector of the smallest eigenvalue, phase-fixed: the ``ground``
+    vector of ``h.spectrum``, so no other eigenvector is computed.
 
     Raises when the ground space is degenerate within ``degeneracy_tol``; the
     caller must shift parameters away from the crossing.
     """
-    dec = h.spectrum
+    spec = h.spectrum
     if h.dim > 1:
-        gap = float(dec.values[1] - dec.values[0])
+        gap = float(spec.values[1] - spec.values[0])
         if gap < degeneracy_tol:
             raise DegenerateGroundStateError(
                 f"ground-state gap {gap:.3e} below tolerance {degeneracy_tol:.3e}"
             )
-    vec = _fix_phase(dec.vectors[:, 0].copy())
-    return QuantumState.pure(vec)
+    return QuantumState.pure(_fix_phase(spec.ground))
 
 
 def thermal_state(h: Operator, beta: float) -> QuantumState:
@@ -142,8 +142,8 @@ def thermal_state(h: Operator, beta: float) -> QuantumState:
     """
     if beta < 0 or (not math.isinf(beta) and not math.isfinite(beta)):
         raise ValueError(f"beta must be >= 0 or +inf, got {beta}")
-    vals = h.spectrum.values
-    vecs = h.spectrum.vectors
+    dec = hermitian_eig(h)  # the cached h.spectrum, with all its vectors
+    vals, vecs = dec.values, dec.vectors
     if math.isinf(beta):
         span = max(1.0, abs(float(vals[0])))
         weights = (vals - vals[0] <= DEFAULT_DEGENERACY_TOL * span).astype(float)

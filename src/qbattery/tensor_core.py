@@ -48,12 +48,16 @@ class Operator:
     per site; only :func:`site_sum` sets it, so it always agrees with
     ``matrix``.  Every other operator carries ``None``.
 
-    ``spectrum`` is ``hermitian_eig(matrix)``: ascending values and
-    orthonormal vectors, both read-only, computed on first use and then kept,
-    so a battery is diagonalized once however many states and traces read
-    it.  Its numeric Hermiticity check is the one gate for every eigen-based
-    routine: a non-Hermitian ``matrix`` raises ``ValueError`` there, whatever
-    the ``hermitian`` flag the builder declared.
+    ``spectrum`` is the ``HermitianSpectrum`` of ``matrix``, built on first
+    use and then kept, so a battery is reduced to tridiagonal form once
+    however many states and traces read it.  Building it computes the
+    reduction and the ascending ``values``, and nothing more; its ``ground``
+    vector (inverse iteration, for ground states) and its ``vectors`` (the
+    full QL, for Gibbs states) are each computed on first read and kept.
+    ``hermitian_eig`` of an operator reads this spectrum too.  Its numeric
+    Hermiticity check is the one gate for every eigen-based routine: a
+    non-Hermitian ``matrix`` raises ``ValueError`` there, whatever the
+    ``hermitian`` flag the builder declared.
     """
 
     matrix: np.ndarray
@@ -83,12 +87,9 @@ class Operator:
 
     @functools.cached_property
     def spectrum(self):
-        from .dense_linalg import hermitian_eig  # dense_linalg imports this module
+        from .dense_linalg import HermitianSpectrum  # dense_linalg imports this module
 
-        dec = hermitian_eig(self.matrix)
-        dec.values.setflags(write=False)
-        dec.vectors.setflags(write=False)
-        return dec
+        return HermitianSpectrum(self.matrix)
 
 
 def pauli(axis: str) -> Operator:

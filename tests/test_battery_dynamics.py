@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -928,38 +929,98 @@ def test_delta_rt_sign_flips_with_field():
 
 
 def _battery_eig_calls(monkeypatch, batteries):
-    """Record ``compute_vectors`` of every ``hermitian_eig`` call, wherever it
-    is looked up from, whose matrix is one of ``batteries``."""
-    original = dense_linalg.hermitian_eig
+    """Record, as ``(index into batteries, kind)``, every reduction of one of
+    ``batteries`` (kind ``"values"``) and every vector form read from it:
+    ``"ground"``, the inverse iteration, or ``"vectors"``, the full-vector
+    QL.  Both ``Operator.spectrum`` and ``hermitian_eig`` build their
+    spectrum from ``dense_linalg.HermitianSpectrum``, so every path is seen."""
     calls = []
 
-    def counted(m, compute_vectors=True):
-        a = getattr(m, "matrix", m)
-        if any(a.shape == b.shape and np.array_equal(a, b) for b in batteries):
-            calls.append(compute_vectors)
-        return original(m, compute_vectors)
+    class Counted(dense_linalg.HermitianSpectrum):
+        def __init__(self, m):
+            super().__init__(m)
+            a = getattr(m, "matrix", m)
+            self.index = next(
+                (i for i, b in enumerate(batteries) if a.shape == b.shape and np.array_equal(a, b)),
+                None,
+            )
+            self._record("values")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qbattery" and getattr(module, "hermitian_eig", None) is original:
-            monkeypatch.setattr(module, "hermitian_eig", counted)
+        def _record(self, kind):
+            if self.index is not None:
+                calls.append((self.index, kind))
+
+        @functools.cached_property
+        def ground(self):
+            self._record("ground")
+            return super().ground
+
+        @functools.cached_property
+        def vectors(self):
+            self._record("vectors")
+            return super().vectors
+
+    monkeypatch.setattr(dense_linalg, "HermitianSpectrum", Counted)
     return calls
 
 
 @pytest.mark.parametrize("row", ["pt_ground", "rt_thermal"])
 def test_delta_row_diagonalizes_its_battery_twice(monkeypatch, row):
-    # A row normalizes the raw battery (values only) and prepares its state
-    # from the normalized one (values and vectors); both traces reuse that.
+    # A row reduces the raw battery for its values (normalization) and the
+    # normalized one for its values and the one vector form its state needs:
+    # the ground vector alone for a pure state, all vectors for a Gibbs
+    # state.  Both traces reuse that.
     if row == "pt_ground":
         battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=4, boundary="open")
         raw = build_battery_xyz(battery)
         chargers, kwargs = pt_pair(np.pi / 3, n=4), {}
+        state_kind = "ground"
     else:
         battery = 3
         raw = build_noninteracting_battery(3)
         chargers, kwargs = rt_pair(0.8, 0.5, n=3), {"init": "thermal", "beta": 1.0}
+        state_kind = "vectors"
     calls = _battery_eig_calls(monkeypatch, [raw.matrix, normalize_spectrum(raw).matrix])
     delta_p_max(battery, *chargers, t_max=5.0, n_grid=64, **kwargs)
-    assert calls == [False, True]
+    assert calls == [(0, "values"), (1, "values"), (1, state_kind)]
+
+
+def _ql_passes(monkeypatch):
+    """Record, per call of the QL iteration, whether it accumulates vectors."""
+    original = dense_linalg._ql_implicit
+    passes = []
+
+    def counted(diag, off, q, off_tol):
+        passes.append(q is not None)
+        return original(diag, off, q, off_tol)
+
+    monkeypatch.setattr(dense_linalg, "_ql_implicit", counted)
+    return passes
+
+
+@pytest.mark.parametrize("family", [PT, RT])
+def test_pure_state_traces_never_reach_the_full_vector_ql(monkeypatch, family):
+    passes = _ql_passes(monkeypatch)
+    if family == PT:
+        h_b = xx_battery(n=4, boundary="open")
+        nh, herm = pt_pair(np.pi / 3, n=4)
+    else:
+        h_b = normalize_spectrum(build_noninteracting_battery(4))
+        nh, herm = rt_pair(0.8, 0.5, n=4)
+    psi = ground_state(h_b)
+    for spec in (nh, herm):
+        power_trace(h_b, build_charger(spec), psi, 5.0, 64)
+    ergotropy(h_b, psi)
+    ergotropy(h_b, evolve_normalized(build_charger(nh), psi, 0.7))
+    assert passes and not any(passes)
+
+
+@pytest.mark.parametrize("init,full_passes", [("ground", 0), ("thermal", 1)])
+def test_sweep_row_runs_the_full_vector_ql_only_for_a_gibbs_state(monkeypatch, init, full_passes):
+    passes = _ql_passes(monkeypatch)
+    kwargs = {"init": "thermal", "beta": 1.0} if init == "thermal" else {}
+    delta_p_max(3, *rt_pair(0.8, 0.5, n=3), t_max=5.0, n_grid=64, **kwargs)
+    assert sum(passes) == full_passes
 
 
 @pytest.mark.parametrize("family", [PT, RT])

@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbattery.dense_linalg import (
+    HermitianSpectrum,
+    _inverse_iteration,
     expm_array,
     general_eigenvalues,
     hermitian_eig,
     is_defective_at,
 )
-from qbattery.errors import NumericRangeError
-from qbattery.model_builders import RT, ChargerSpec, build_rt_charger
+from qbattery.errors import ConvergenceError, DegenerateGroundStateError, NumericRangeError
+from qbattery.model_builders import (
+    RT,
+    BatterySpec,
+    ChargerSpec,
+    build_battery_xyz,
+    build_noninteracting_battery,
+    build_rt_charger,
+    normalize_spectrum,
+)
+from qbattery.state_prep import ground_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -154,6 +167,100 @@ def test_hermitian_eig_values_only_matches_full():
     full = hermitian_eig(m).values
     vals = hermitian_eig(m, compute_vectors=False).values
     assert np.max(np.abs(full - vals)) < 1e-12
+
+
+# --- ground vector by inverse iteration, against numpy.linalg.eigh -----------
+
+
+def assert_ground_matches_eigh(m):
+    """``HermitianSpectrum(m).ground`` is a unit eigenvector of ``values[0]``
+    (residual <= 1e-13) and the reference ground vector up to phase
+    (1 - |overlap| <= 1e-12); the values are those of a values-only solve."""
+    spec = HermitianSpectrum(m)
+    assert np.array_equal(spec.values, hermitian_eig(m, compute_vectors=False).values)
+    v = spec.ground
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+    assert np.linalg.norm(m @ v - spec.values[0] * v) <= 1e-13
+    ref = np.linalg.eigh(m)[1][:, 0]
+    assert 1.0 - abs(np.vdot(ref, v)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    boundary=st.sampled_from(["open", "periodic"]),
+    j=st.floats(-1.9, 1.9),
+    gamma=st.floats(0.0, 1.0),
+    delta=st.floats(-2.0, 0.0),
+)
+@example(n=8, boundary="open", j=1.0, gamma=0.0, delta=0.0)
+@example(n=8, boundary="periodic", j=-1.3, gamma=0.4, delta=-0.7)
+def test_ground_vector_of_xyz_battery_matches_eigh(n, boundary, j, gamma, delta):
+    spec = BatterySpec(J=j, gamma=gamma, delta=delta, h=1.0, n_sites=n, boundary=boundary)
+    m = normalize_spectrum(build_battery_xyz(spec)).matrix
+    vals = np.linalg.eigvalsh(m)
+    if vals[1] - vals[0] < 1e-4:  # a (near-)degenerate ground space has no one vector
+        return
+    assert_ground_matches_eigh(m)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_ground_vector_of_field_battery_matches_eigh(n):
+    assert_ground_matches_eigh(normalize_spectrum(build_noninteracting_battery(n)).matrix)
+
+
+@pytest.mark.parametrize("h", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_ground_vector_of_diagonal_battery_matches_eigh(n, h):
+    # J = 0 leaves a diagonal matrix: no reflector, and T splits at every
+    # index.  The ground level sits last for h > 0 and first for h < 0, so
+    # the zero pivot of T - lam I is met at the end and at the start.
+    m = build_battery_xyz(BatterySpec(J=0.0, gamma=0.3, delta=-0.4, h=h, n_sites=n)).matrix
+    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+    assert_ground_matches_eigh(m)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    exponent=st.floats(4.0, 8.0),
+    d=st.integers(2, 16),
+    seed=st.integers(0, 2**16),
+)
+@example(exponent=8.0, d=16, seed=0)
+@example(exponent=4.0, d=2, seed=1)
+def test_ground_vector_at_near_degenerate_gap_matches_eigh(exponent, d, seed):
+    rng = np.random.default_rng(seed)
+    levels = np.concatenate([[-1.0, -1.0 + 10.0**-exponent], np.linspace(-0.5, 1.0, d)[2:]])
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    m = (u * levels) @ u.conj().T
+    assert_ground_matches_eigh(0.5 * (m + m.conj().T))
+
+
+def test_ground_vector_of_exchange_symmetric_pair():
+    # On T = [[0, 1], [1, 0]] the all-ones start would be the exact
+    # eigenvector of +1, orthogonal to the ground vector (1, -1)/sqrt(2).
+    m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert_ground_matches_eigh(m)
+    x = _inverse_iteration(np.zeros(2), np.ones(1), -1.0, 1e-14)
+    assert abs(abs(x[0] - x[1]) - np.sqrt(2.0)) <= 1e-15
+
+
+def test_ground_vector_is_reproducible():
+    m = normalize_spectrum(build_noninteracting_battery(4)).matrix
+    assert np.array_equal(HermitianSpectrum(m).ground, HermitianSpectrum(m).ground)
+
+
+def test_inverse_iteration_raises_when_the_residual_stays_above_its_gate():
+    # 0.5 is no eigenvalue of diag(0, 1), so no step meets the gate.
+    with pytest.raises(ConvergenceError, match="dimension 2"):
+        _inverse_iteration(np.array([0.0, 1.0]), np.zeros(1), 0.5, 1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_periodic_battery_at_j_equal_h_stays_degenerate(n):
+    raw = build_battery_xyz(BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=n))
+    with pytest.raises(DegenerateGroundStateError):
+        ground_state(normalize_spectrum(raw))
 
 
 # --- general eigenvalues -----------------------------------------------------
