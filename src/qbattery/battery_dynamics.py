@@ -14,16 +14,16 @@ propagation path with two kernels.  A charger that is a sum of one identical
 ``site_term``) propagates as the exact product K(t) = k(t)^(x)N, with k(t)
 in closed form, including at the exceptional point.  Every other charger
 is chained in short steps, each normalized at once: on an arithmetic grid,
-P = K(dt) and Q = K(c dt), c = ceil(sqrt(m)), give the first c states and
-carry each block of c to the next (a single time t is the one-point grid,
-K(t) W0); irregular times step on from the previous state by a Taylor
-polynomial.  A short normalized step stays well conditioned, where K(t)
-from t = 0 carries the window's whole non-normal transient.  Measured
-work errors: <= 7.1e-15 (unbroken) and <= 8.3e-13 (broken phase) on RT
-chargers up to t = 1000 against 50 digits (N <= 4); 9.8e-9 on the PT
-charger as a plain matrix (N = 6, t <= 10), against 2.8e-6 from
-exponentials built from t = 0.  Broken-phase RT stays finite at long
-windows (t_max = 1000 at N = 4 to 8).
+P = K(dt) and Q = K(c dt), c = ceil(sqrt(m)) capped so that Q needs no
+squaring, give the first c states and carry each block of c to the next
+(a single time t is the one-point grid, K(t) W0); irregular times step on
+from the previous state by a Taylor polynomial.  A short normalized step
+stays well conditioned, where K(t) from t = 0 carries the window's whole
+non-normal transient.  Measured work errors: <= 9.5e-15 (unbroken) and
+<= 3.5e-14 (broken phase) on RT chargers up to t = 1000 against 50 digits
+(N <= 4); 4.0e-9 on the PT charger as a plain matrix (N = 6, t <= 10),
+against 2.8e-6 from exponentials built from t = 0.  Broken-phase RT stays
+finite at long windows (t_max = 1000 at N = 4 to 8).
 
 Golden-section refinement of the maximum starts from the grid's normalized
 state at the bracket's left end lo and applies K(t - lo) to it: the per-site
@@ -138,22 +138,28 @@ def _grid_step(times: np.ndarray) -> float | None:
 def _chain_chunks(h_mat: np.ndarray, w0: np.ndarray, times: np.ndarray, dt: float):
     """Yield ``(slice, unnormalized states)`` on the grid ``times[0] + k dt``.
 
-    With P = K(dt), Q = K(c dt), c = ceil(sqrt(m)), the seeds P^j K(t0) W0,
-    j < c, are built by doubling, X <- [X, P^(2^k) X], as one (d, c r)
-    block; each later block is Q times the one before, and every block is
-    rescaled so it cannot overflow.  K(t0) is P on a grid that starts at dt.
+    With P = K(dt), Q = K(c dt), the seeds P^j K(t0) W0, j < c, are built
+    by doubling, X <- [X, P^(2^k) X], as one (d, c r) block; each later
+    block is Q times the one before, and every block is rescaled so it
+    cannot overflow.  K(t0) is P on a grid that starts at dt.  The block
+    length c = ceil(sqrt(m)) is capped so that ||c dt H||_1 <= 1: Q then
+    needs no squaring, whose rounding every later block would carry
+    (c = 1, Q = P, when dt alone is past that).
     """
     m = times.size
     d, r = w0.shape
     c = math.isqrt(m - 1) + 1
     gen = -1j * h_mat
+    step_norm = dt * float(np.abs(gen).sum(axis=0).max())
+    if c * step_norm > 1.0:
+        c = max(1, math.floor(1.0 / step_norm))
     p = pk = expm_array(dt * gen)
     block = (p if abs(times[0] - dt) <= _GRID_RTOL * times[-1] else expm_array(times[0] * gen)) @ w0
     while block.shape[1] < c * r:
         if block.shape[1] > r:
             pk = pk @ pk
         block = np.concatenate([block, pk @ block], axis=1)
-    q = expm_array(c * dt * gen) if m > c else None
+    q = None if m <= c else p if c == 1 else expm_array(c * dt * gen)
     n_blocks = -(-m // c)
     per_chunk = max(1, _CHUNK_ELEMS // (d * c * r))
     for a0 in range(0, n_blocks, per_chunk):

@@ -6,7 +6,8 @@ truncated Taylor core (matmuls only, no linear solve), Hermitian
 eigendecomposition by one Householder tridiagonalization (its reflectors
 kept, Q formed only when all vectors are wanted) with implicit QL for the
 values and, on request, all vectors, or inverse iteration on the
-tridiagonal form for the ground vector alone (``HermitianSpectrum``),
+tridiagonal form for the ground vector alone (``HermitianSpectrum``; an
+affine map a M + b I of a reduced matrix reuses its reduction),
 general eigenvalues by Hessenberg reduction plus shifted QR, and a
 rank-based defectiveness test.
 
@@ -150,12 +151,14 @@ def _tridiagonalize(a: np.ndarray, fro: float):
         if vnorm == 0.0:
             continue
         v /= vnorm
-        # Two-sided reflection P B P on the trailing block, P = I - 2 v v^dag.
+        # Two-sided reflection P B P on the trailing block, P = I - 2 v v^dag:
+        # with w = B v, tau = v^dag w and u = 2 w - 2 tau v, that is the
+        # rank-two update B - v u^dag - u v^dag.
         block = a[k + 1 :, k + 1 :]
         w = block @ v
         tau = float(np.real(v.conj() @ w))
-        block -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, v.conj())
-        block += (4.0 * tau) * np.outer(v, v.conj())
+        u = 2.0 * w - (2.0 * tau) * v
+        block -= np.outer(v, u.conj()) + np.outer(u, v.conj())
         a[k + 1, k] = beta
         a[k + 2 :, k] = 0.0
         a[k, k + 1 :] = np.conj(a[k + 1 :, k])
@@ -255,12 +258,13 @@ def _ql_implicit(diag, off, q, off_tol):
     """Implicit-shift QL on a real symmetric tridiagonal matrix.
 
     Rotations within one iteration are accumulated into a small dense block
-    applied to the (complex) transform columns in a single matmul.
+    applied to the (complex) transform columns in a single matmul.  The
+    scalar recurrence runs on Python floats, which round as numpy's float64
+    scalars do at a fraction of their per-operation cost.
     """
     n = diag.size
-    d = diag.copy()
-    e = np.zeros(n)
-    e[: n - 1] = off
+    d = diag.tolist()
+    e = off.tolist() + [0.0]
     for l in range(n):
         iters = 0
         while True:
@@ -316,7 +320,7 @@ def _ql_implicit(diag, off, q, off_tol):
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return d, q
+    return np.array(d), q
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -335,6 +339,11 @@ class HermitianSpectrum:
     rotation-accumulating QL on the same T, are each computed on first read
     and kept.  Every array is read-only.  Raises ``ValueError`` for a matrix
     that is not numerically Hermitian.
+
+    ``_affine(a, b)`` is the spectrum of a M + b I, a > 0, without a second
+    reduction: its ``_source`` is the spectrum that was reduced, whose
+    ``ground`` and ``vectors`` it reads (``None`` on that one itself, so no
+    reference cycle keeps a reduction alive).
     """
 
     def __init__(self, m):
@@ -347,14 +356,28 @@ class HermitianSpectrum:
         vals, _ = _ql_implicit(self._diag, self._off, None, self._off_tol)
         self._order = np.argsort(vals, kind="stable")
         self.values = _frozen(vals[self._order])
+        self._source = None
+
+    def _affine(self, a: float, b: float) -> HermitianSpectrum:
+        """The spectrum of a M + b I for a > 0: ``values`` a lambda + b, in
+        the same ascending order, and the very ``ground`` and ``vectors``
+        arrays of the reduced spectrum, computed there on first read."""
+        out = object.__new__(type(self))
+        out.values = _frozen(a * self.values + b)
+        out._source = self if self._source is None else self._source
+        return out
 
     @functools.cached_property
     def ground(self) -> np.ndarray:
+        if self._source is not None:
+            return self._source.ground
         x = _inverse_iteration(self._diag, self._off, float(self.values[0]), self._off_tol)
         return _frozen(_apply_q(self._reflectors, self._phases, x))
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
+        if self._source is not None:
+            return self._source.vectors
         q = _form_q(self._reflectors, self._phases)
         _, q = _ql_implicit(self._diag, self._off, q, self._off_tol)
         return _frozen(q[:, self._order])

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_linalg import (
-    REAL_SPECTRUM_TOL,
-    general_eigenvalues,
-    hermitian_eig,
-)
+from .dense_linalg import REAL_SPECTRUM_TOL, general_eigenvalues
 from .errors import DegenerateSpectrumError
 from .tensor_core import Operator, bond_pairs, max_sites, pauli, site_product, site_sum
 
@@ -120,18 +116,29 @@ def build_noninteracting_battery(n: int) -> Operator:
 
 
 def normalize_spectrum(h: Operator) -> Operator:
-    """Affine rescale so the spectrum spans exactly [-1, 1]."""
-    dec = hermitian_eig(h, compute_vectors=False)
-    e_min = float(dec.values[0])
-    e_max = float(dec.values[-1])
+    """Affine rescale a H + b I, a = 2/span, so the spectrum spans [-1, 1].
+
+    The extremes come from ``h.spectrum``, and the result's ``spectrum`` is
+    that same reduction mapped by the same a and b: its levels are
+    a lambda + b, and its ground vector and eigenvectors are those of ``h``,
+    computed on first read.  So a battery is reduced once, raw and
+    normalized together.
+    """
+    spec = h.spectrum
+    e_min = float(spec.values[0])
+    e_max = float(spec.values[-1])
     span = e_max - e_min
     if span <= 1e-12 * max(1.0, abs(e_max), abs(e_min)):
         raise DegenerateSpectrumError(
             f"spectrum span {span:.3e} too small to normalize (H proportional to I)"
         )
-    ident = np.eye(h.dim, dtype=complex)
-    scaled = (2.0 * h.matrix - (e_max + e_min) * ident) / span
-    return Operator(scaled, n_sites=h.n_sites, hermitian=True)
+    a = 2.0 / span
+    b = -(e_max + e_min) / span
+    scaled = a * h.matrix
+    scaled.flat[:: h.dim + 1] += b
+    out = Operator(scaled, n_sites=h.n_sites, hermitian=True)
+    out.__dict__["spectrum"] = spec._affine(a, b)
+    return out
 
 
 def build_pt_charger(alpha: float, n: int) -> Operator:

@@ -54,10 +54,12 @@ class Operator:
     reduction and the ascending ``values``, and nothing more; its ``ground``
     vector (inverse iteration, for ground states) and its ``vectors`` (the
     full QL, for Gibbs states) are each computed on first read and kept.
-    ``hermitian_eig`` of an operator reads this spectrum too.  Its numeric
-    Hermiticity check is the one gate for every eigen-based routine: a
-    non-Hermitian ``matrix`` raises ``ValueError`` there, whatever the
-    ``hermitian`` flag the builder declared.
+    ``normalize_spectrum`` hands its result the raw battery's spectrum
+    mapped by the same affine map, so the raw and the normalized battery
+    share one reduction.  ``hermitian_eig`` of an operator reads this
+    spectrum too.  Its numeric Hermiticity check is the one gate for every
+    eigen-based routine: a non-Hermitian ``matrix`` raises ``ValueError``
+    there, whatever the ``hermitian`` flag the builder declared.
     """
 
     matrix: np.ndarray

@@ -3,9 +3,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbattery.dense_linalg import general_eigenvalues, hermitian_eig, is_defective_at
-from qbattery.errors import DegenerateSpectrumError
+from qbattery.errors import DegenerateGroundStateError, DegenerateSpectrumError
 from qbattery.model_builders import (
     BROKEN_COMPLEX,
     PT,
@@ -27,6 +29,7 @@ from qbattery.model_builders import (
     _parity_conjugator,
     _rotation_conjugator,
 )
+from qbattery.state_prep import ground_state
 from qbattery.tensor_core import Operator, embed_site, pauli
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,6 +124,54 @@ def test_normalize_degenerate_spectrum_error():
     ident = Operator(np.eye(4, dtype=complex), n_sites=2, hermitian=True)
     with pytest.raises(DegenerateSpectrumError):
         normalize_spectrum(ident)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    boundary=st.sampled_from(["open", "periodic"]),
+    j=st.floats(-1.9, 1.9),
+    gamma=st.floats(0.0, 1.0),
+    delta=st.floats(-2.0, 0.0),
+    raw_first=st.booleans(),
+)
+@example(n=8, boundary="open", j=1.3, gamma=0.2, delta=-0.5, raw_first=False)
+@example(n=6, boundary="periodic", j=-0.6, gamma=0.9, delta=-1.1, raw_first=True)
+def test_normalized_spectrum_maps_the_raw_reduction(n, boundary, j, gamma, delta, raw_first):
+    # The normalized battery's spectrum is its raw battery's, mapped: levels
+    # a lambda + b, and the very ground and vector arrays of the raw
+    # reduction, whichever of the two is read first.  All vectors (the
+    # full-vector QL, ~1 s at N = 8) are read up to N = 6.
+    raw = build_battery_xyz(BatterySpec(J=j, gamma=gamma, delta=delta, h=1.0, n_sites=n, boundary=boundary))
+    h = normalize_spectrum(raw)
+    spec = h.spectrum
+    vals = spec.values
+    assert not vals.flags.writeable
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(h.matrix))) <= 1e-14
+    assert abs(vals[0] + 1.0) <= 4 * np.spacing(1.0) and abs(vals[-1] - 1.0) <= 4 * np.spacing(1.0)
+    first, second = (raw.spectrum, spec) if raw_first else (spec, raw.spectrum)
+    assert first.ground is second.ground
+    if n <= 6:
+        assert first.vectors is second.vectors
+        assert hermitian_eig(h).vectors is raw.spectrum.vectors
+    g = spec.ground
+    assert np.linalg.norm(h.matrix @ g - vals[0] * g) <= 1e-13
+
+
+def test_normalizing_twice_maps_the_first_reduction():
+    raw = build_battery_xyz(xx_spec(j=0.7, h=1.3, n=4))
+    again = normalize_spectrum(normalize_spectrum(raw))
+    assert again.spectrum.ground is raw.spectrum.ground
+    assert np.max(np.abs(again.spectrum.values - np.linalg.eigvalsh(again.matrix))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_normalized_periodic_battery_at_j_equal_minus_h_stays_degenerate(n):
+    # The gap check reads the mapped levels; J = h = 1 is tested with the
+    # ground vector in test_dense_linalg.
+    raw = build_battery_xyz(BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=-1.0, n_sites=n))
+    with pytest.raises(DegenerateGroundStateError):
+        ground_state(normalize_spectrum(raw))
 
 
 # --- chargers -------------------------------------------------------------------
