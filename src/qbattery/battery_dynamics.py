@@ -25,9 +25,18 @@ non-normal transient.  Measured work errors: <= 9.5e-15 (unbroken) and
 against 2.8e-6 from exponentials built from t = 0.  Broken-phase RT stays
 finite at long windows (t_max = 1000 at N = 4 to 8).
 
-Golden-section refinement of the maximum starts from the grid's normalized
-state at the bracket's left end lo and applies K(t - lo) to it: the per-site
-product, or a Taylor polynomial applied by Horner's rule (no exponential).
+Golden-section refinement of the maximum propagates nothing per
+evaluation, for product and dense chargers alike.  The bracket [lo, hi]
+around the best grid point is cut into pieces of width w <= 1/nu, and in
+each the state is one truncated Taylor series in the offset x = (t - lo_j)/w
+from the normalized state at the piece's left end: the grid's state at lo,
+or rho(0) itself when the best grid point is the first and lo = 0.  The
+work numerator and the norm are then real polynomials in x whose
+coefficients are Gram sums of the Taylor vectors (the action of exp(tA) on
+a vector, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and an
+evaluation is two Horner passes on Python floats.  From lo = 0 the work
+W(0) = 0 is exact, and the first piece divides it by t as a polynomial, so
+a maximum at t -> 0 reads its limit with no 0/0 rounding.
 """
 
 from __future__ import annotations
@@ -203,7 +212,7 @@ def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
     in chunks of times that bound the working memory.  Any other is chained
     on an arithmetic grid (one time t > 0 is a grid too); at irregular times
     each state, in increasing time, is the one before stepped on by
-    ``_stepper``.
+    ``_taylor``.
     """
     term = h_charge.site_term
     if term is not None:
@@ -214,15 +223,24 @@ def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
     elif (dt := _grid_step(times)) is not None:
         chunks = _chain_chunks(h_charge.matrix, rho0.factor, times, dt)
     else:
+        gen, nu = _generator(h_charge.matrix)
         x, t_prev = rho0.factor.copy(), 0.0
         for k in np.argsort(times, kind="stable"):
             sl = slice(k, k + 1)
-            x = _normalize(_stepper(h_charge, x)(times[k] - t_prev), times[sl])[0]
+            x = _normalize(_taylor(gen, nu, x, times[k] - t_prev)[None], times[sl])[0]
             t_prev = times[k]
             yield sl, x[None]
         return
     for sl, states in chunks:
         yield sl, _normalize(states, times[sl])
+
+
+def _generator(h_mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """The generator -i H of exp(-i H t) and nu = sqrt(||H||_1 ||H||_inf),
+    an upper bound on its 2-norm."""
+    mag = np.abs(h_mat)
+    nu = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
+    return -1j * h_mat, nu
 
 
 def _taylor(gen: np.ndarray, nu: float, x: np.ndarray, delta: float) -> np.ndarray:
@@ -244,23 +262,6 @@ def _taylor(gen: np.ndarray, nu: float, x: np.ndarray, delta: float) -> np.ndarr
             v = x + (h / k) * (gen @ v)
         x = v
     return x
-
-
-def _stepper(h_charge: Operator, seed: np.ndarray):
-    """Return ``step(delta)``: K(delta) applied to the columns of ``seed``,
-    unnormalized, as a one-state stack.
-
-    A charger with a ``site_term`` steps by the exact per-site product; any
-    other by ``_taylor`` on its dense matrix.
-    """
-    term = h_charge.site_term
-    if term is not None:
-        return lambda delta: _product_kernel(term, h_charge.n_sites, seed, np.array([delta]))
-    h_mat = h_charge.matrix
-    gen = -1j * h_mat
-    mag = np.abs(h_mat)
-    nu = math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max()))
-    return lambda delta: _taylor(gen, nu, seed, delta)[None]
 
 
 def evolve_normalized(h_charge: Operator, rho0: QuantumState, t: float) -> QuantumState:
@@ -350,6 +351,108 @@ def _measure(h_b: Operator, h_charge: Operator, rho0: QuantumState, times, peak=
     return work_vals, ergo_vals, before
 
 
+def _antidiagonal_sums(mats: np.ndarray) -> np.ndarray:
+    """s[..., n] = sum over j + k = n of mats[..., j, k], for a stack of
+    (q, q) matrices: row j is shifted right by j in a (q, 2q - 1) frame
+    and the columns are summed."""
+    q = mats.shape[-1]
+    padded = np.zeros(mats.shape[:-1] + (2 * q,), dtype=mats.dtype)
+    padded[..., :q] = mats
+    flat = padded.reshape(mats.shape[:-2] + (-1,))[..., : q * (2 * q - 1)]
+    return flat.reshape(mats.shape[:-2] + (q, 2 * q - 1)).sum(axis=-2)
+
+
+def _bracket_piece(
+    gen_w: np.ndarray, h_mat: np.ndarray, seed: np.ndarray, e_init: float, m: int
+) -> tuple[list[float], list[float], np.ndarray]:
+    """One piece of the refinement bracket, as polynomials in x in [0, 1].
+
+    With V_k = (gen_w)^k seed / k!, k <= m, the state at offset x is the
+    truncated Taylor series psi(x) = sum_k x^k V_k.  The work numerator
+    tr[psi^dag (H_B - e_init) psi] and the norm tr[psi^dag psi] are then
+    real polynomials of degree 2m whose coefficients are anti-diagonal sums
+    of the Gram matrices A = V^dag H_B V and B = V^dag V:
+    c_n = sum_{j+k=n} (A_jk - e_init B_jk) and D_n = sum_{j+k=n} B_jk.
+    Forming c_n before dividing keeps the work exact to rounding where it
+    is small against e_init.
+
+    Returns (c, D) as lists of Python floats, highest degree first for
+    Horner's rule, and the unnormalized end state psi(1).  Raises
+    ConsistencyError when sum_n |Im a_n|, a_n = sum_{j+k=n} A_jk, which
+    bounds the imaginary part of the energy at every x in [0, 1], exceeds
+    the tolerance.
+    """
+    v = np.empty((m + 1,) + seed.shape, dtype=complex)
+    v[0] = seed
+    for k in range(1, m + 1):
+        v[k] = (1.0 / k) * (gen_w @ v[k - 1])
+    flat = v.reshape(m + 1, -1)
+    left = flat.conj()
+    gram_h = left @ (h_mat @ v).reshape(m + 1, -1).T
+    gram = left @ flat.T
+    sums = _antidiagonal_sums(np.stack([gram_h - e_init * gram, gram, gram_h]))
+    worst = float(np.abs(sums[2].imag).sum())
+    if worst > _IM_TOL:
+        raise ConsistencyError(f"work expectation has imaginary residue {worst:.3e}")
+    return sums[0].real[::-1].tolist(), sums[1].real[::-1].tolist(), v.sum(axis=0)
+
+
+def _horner(coeffs: list[float], x: float) -> float:
+    """The polynomial with ``coeffs`` (highest degree first) at x."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _bracket_power(
+    h_mat: np.ndarray, h_charge: Operator, seed: np.ndarray, e_init: float, lo: float, hi: float
+):
+    """Return ``power(t)``, the work over t for t in [lo, hi], from the
+    normalized state ``seed`` at ``lo``.
+
+    The bracket is cut into s = max(1, ceil(nu (hi - lo))) equal pieces of
+    width w <= 1/nu, nu = sqrt(||H||_1 ||H||_inf), and each holds one
+    ``_bracket_piece`` of degree m = ``_taylor_degree(nu w)``, the remainder
+    rule of ``_taylor``.  A piece is built when an evaluation first lands in
+    it; piece j + 1 starts from the end state of piece j, normalized.  An
+    evaluation at t is then N(x) / (D(x) t), x = (t - lo_j) / w, two Horner
+    passes on Python floats.  From lo = 0 (a maximum at the grid's first
+    point), W(0) = 0 exactly: piece 0 drops c_0 and evaluates
+    (N(x) / x) / (D(x) w), so W(t)/t carries no 0/0 rounding as t -> 0.
+    """
+    gen, nu = _generator(h_charge.matrix)
+    s = max(1, math.ceil(nu * (hi - lo)))
+    w = (hi - lo) / s
+    gen_w, m = w * gen, _taylor_degree(nu * w)
+    from_zero = lo == 0.0
+    pieces = []  # (numerator, norm) coefficients of the pieces built so far
+    end = None  # the unnormalized end state of the last piece built
+
+    def power(t: float) -> float:
+        nonlocal end
+        j = min(int((t - lo) / w), s - 1)
+        while len(pieces) <= j:
+            if pieces:
+                start = _normalize(end[None], np.array([lo + len(pieces) * w]))[0]
+            else:
+                start = seed
+            num, den, end = _bracket_piece(gen_w, h_mat, start, e_init, m)
+            pieces.append((num[:-1] if from_zero and not pieces else num, den))
+        num, den = pieces[j]
+        x = (t - lo) / w - j
+        n_x, d_x = _horner(num, x), _horner(den, x)
+        if not (math.isfinite(n_x) and math.isfinite(d_x)):
+            raise NumericRangeError("evolved state overflowed")
+        if d_x < _TRACE_FLOOR:
+            raise NormalizationUnderflowError(
+                f"evolved norm underflow at t={t} (unphysical parameters)"
+            )
+        return n_x / (d_x * (w if from_zero and j == 0 else t))
+
+    return power
+
+
 def power_trace(
     h_b: Operator,
     h_charge: Operator,
@@ -361,10 +464,11 @@ def power_trace(
 
     The best grid point is refined by golden-section search in its bracketing
     interval [lo, hi]; ties go to smaller t.  The grid pass also hands over
-    the normalized state at ``lo`` (one step from ``rho0`` when the best
-    point is the first), and each refinement point t is K(t - lo) applied to
-    it.  ``t_star_at_edge`` flags a grid maximum at t_max, where the true
-    maximum may lie beyond the window.
+    the normalized state at ``lo``; when the best point is the first, lo = 0
+    and that state is ``rho0``.  Each refinement point reads a Taylor
+    polynomial of its bracket piece (``_bracket_power``).
+    ``t_star_at_edge`` flags a grid maximum at t_max, where the true maximum
+    may lie beyond the window.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -380,17 +484,11 @@ def power_trace(
     p_grid = float(power_vals[k_star])
     t_grid = float(times[k_star])
 
-    lo = float(times[k_star - 1]) if k_star >= 1 else min(1e-12, 0.5 * t_grid)
+    lo = float(times[k_star - 1]) if k_star >= 1 else 0.0
     hi = float(times[k_star + 1]) if k_star + 1 < n_grid else float(t_max)
     if seed is None:
-        seed = _normalize(_stepper(h_charge, rho0.factor)(lo), np.array([lo]))[0]
-    step = _stepper(h_charge, seed)
-
-    def power_at(t: float) -> float:
-        state = _normalize(step(t - lo), np.array([t]))[0]
-        return (_energy(h_mat, state) - e_init) / t
-
-    t_ref, p_ref = _golden_max(power_at, lo, hi)
+        seed = rho0.factor
+    t_ref, p_ref = _golden_max(_bracket_power(h_mat, h_charge, seed, e_init, lo, hi), lo, hi)
 
     if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):
         t_star, p_max = t_ref, p_ref

@@ -134,9 +134,15 @@ def _tridiagonalize(a: np.ndarray, fro: float):
     a = a.copy()
     n = a.shape[0]
     reflectors = []
+    # Every reflector is a view into one store, the vector of step k at
+    # offset sum_{j < k} (n - 1 - j).
+    store = np.empty(n * (n - 1) // 2, dtype=complex)
+    start = 0
     scale = max(1.0, fro)
     for k in range(n - 2):
         x = a[k + 1 :, k]
+        v = store[start : start + x.size]
+        start += x.size
         xnorm = math.sqrt(float(np.sum(np.abs(x) ** 2)))
         if xnorm < 1e3 * _EPS * scale / max(n, 1):
             a[k + 1 :, k] = 0.0
@@ -145,7 +151,7 @@ def _tridiagonalize(a: np.ndarray, fro: float):
         x0 = x[0]
         phase = x0 / abs(x0) if abs(x0) > 0 else 1.0
         beta = -phase * xnorm
-        v = x.copy()
+        v[:] = x
         v[0] -= beta
         vnorm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
         if vnorm == 0.0:

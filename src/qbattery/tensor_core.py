@@ -115,9 +115,14 @@ def site_product(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
             raise ValueError(f"site {r} out of range for n={n}")
         if np.shape(f) != (2, 2):
             raise ValueError(f"site factors must be 2x2, got shape {np.shape(f)} at site {r}")
+    # Each step is the Kronecker product out (x) f, formed by broadcasting:
+    # numpy.kron makes the same products, but its wrapper costs more than
+    # the arithmetic at these sizes.
     out = np.ones((1, 1), dtype=complex)
     for r in range(n):
-        out = np.kron(out, factors.get(r, _PAULI["identity"]))
+        f = np.asarray(factors.get(r, _PAULI["identity"]))
+        a, b = out.shape
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(2 * a, 2 * b)
     return out
 
 

@@ -578,20 +578,22 @@ def test_power_trace_alpha_zero_chargers_coincide():
     assert tr_pt.p_max == tr_he.p_max
 
 
-def test_power_trace_exceptional_point_matches_closed_form_limit():
-    # alpha -> pi/2 limit of the two-site power expression:
-    # P(t) = [h (t^4 - (1-t)^4) + J t^2 (1-t)^2] / (h t (t^2 + (1-t)^2)^2) + 1/t
-    def p_ep(ts, h, j):
-        a = (1.0 - ts) ** 2
-        b = ts**2
-        return (h * (b**2 - a**2) + j * a * b) / (h * ts * (a + b) ** 2) + 1.0 / ts
+def _pt_power_ep(ts, h, j):
+    """The alpha -> pi/2 limit of the two-site PT power (the exceptional
+    point, where ``closed_form_oracles.pt_power_n2`` is singular):
+    P(t) = [h (t^4 - (1-t)^4) + J t^2 (1-t)^2] / (h t (t^2 + (1-t)^2)^2) + 1/t."""
+    a = (1.0 - ts) ** 2
+    b = ts**2
+    return (h * (b**2 - a**2) + j * a * b) / (h * ts * (a + b) ** 2) + 1.0 / ts
 
+
+def test_power_trace_exceptional_point_matches_closed_form_limit():
     battery = xx_battery()
     psi = ground_state(battery)
     trace = power_trace(battery, build_pt_charger(np.pi / 2, 2), psi, 10.0, 2000)
-    assert np.max(np.abs(trace.power - p_ep(trace.times, 1.0, 1.0))) < 1e-10
+    assert np.max(np.abs(trace.power - _pt_power_ep(trace.times, 1.0, 1.0))) < 1e-10
     dense = np.linspace(1e-5, 10.0, 100000)
-    assert abs(trace.p_max - p_ep(dense, 1.0, 1.0).max()) < 1e-6
+    assert abs(trace.p_max - _pt_power_ep(dense, 1.0, 1.0).max()) < 1e-6
 
 
 def test_power_trace_first_point_work_vanishes():
@@ -705,9 +707,10 @@ def test_taylor_step_matches_mpmath(n, kind):
     # the last step forces s = ceil(nu delta) = 3 Taylor substeps
     deltas = [0.0, 1e-12, dt, 2 * dt, 2.5 / _nu(charger.matrix)]
     states = [ground_state(battery).factor, thermal_state(battery, beta=1.0).factor]
+    gen, nu = -1j * charger.matrix, _nu(charger.matrix)
     for delta in deltas:
         for rho, want in zip(states, _mp_evolved(charger.matrix, delta, states)):
-            got = battery_dynamics._stepper(charger, rho)(delta)[0]
+            got = battery_dynamics._taylor(gen, nu, rho, delta)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (delta, rho.ndim)
 
 
@@ -781,11 +784,18 @@ def _pade_refined(battery, charger, rho0, times, power):
     """``(t_star, p_max)`` of the grid ``power`` re-refined with a dense
     exponential from t = 0 at every golden-section point, on the same grid
     bracket and with the same tie rule as ``power_trace``."""
+    return _refined(_per_time_power(battery, charger, rho0), times, power)
+
+
+def _refined(power_at, times, power):
+    """``(t_star, p_max)`` of the grid ``power`` re-refined with ``power_at``
+    at every golden-section point, on ``power_trace``'s grid bracket (from
+    1e-12 at the first point) and with its tie rule."""
     k = int(np.argmax(power))
     t_grid, p_grid = float(times[k]), float(power[k])
     lo = float(times[k - 1]) if k >= 1 else min(1e-12, 0.5 * t_grid)
     hi = float(times[min(k + 1, times.size - 1)])
-    t_ref, p_ref = battery_dynamics._golden_max(_per_time_power(battery, charger, rho0), lo, hi)
+    t_ref, p_ref = battery_dynamics._golden_max(power_at, lo, hi)
     if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):
         return t_ref, p_ref
     return t_grid, p_grid
@@ -819,6 +829,161 @@ def test_refinement_at_left_edge_matches_pade_refinement():
     t_star, p_max = _pade_refined(battery, charger, rho0, trace.times, trace.power)
     assert abs(trace.p_max - p_max) <= 1e-9
     assert max(trace.t_star, t_star) <= 1e-5
+
+
+@pytest.mark.parametrize("alpha", [np.pi / 3, np.pi / 2], ids=["pi/3", "exceptional"])
+def test_pt_refinement_matches_closed_form(alpha):
+    battery = xx_battery()
+    psi = ground_state(battery)
+    trace = power_trace(battery, build_pt_charger(alpha, 2), psi, 10.0, 800)
+    assert int(np.argmax(trace.power)) > 0
+    if alpha == np.pi / 2:
+        oracle = lambda t: _pt_power_ep(t, 1.0, 1.0)
+    else:
+        oracle = lambda t: oracles.pt_power_n2(t, 1.0, 1.0, alpha)
+    t_star, p_max = _refined(oracle, trace.times, trace.power)
+    assert abs(trace.p_max - p_max) <= 1e-12
+    assert abs(trace.t_star - t_star) <= 2e-6
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("alpha", [np.pi / 3, np.pi / 2], ids=["pi/3", "exceptional"])
+@pytest.mark.parametrize("twin", [False, True], ids=["pt", "hermitian"])
+def test_pt_refinement_matches_pade_refinement(n, alpha, twin):
+    battery = xx_battery(n=n, boundary="open")
+    psi = ground_state(battery)
+    charger = (build_pt_hermitian_charger if twin else build_pt_charger)(alpha, n)
+    trace = power_trace(battery, charger, psi, 10.0, 800)
+    assert int(np.argmax(trace.power)) > 0
+    t_star, p_max = _pade_refined(battery, charger, psi, trace.times, trace.power)
+    assert abs(trace.p_max - p_max) <= 1e-12
+    assert abs(trace.t_star - t_star) <= 2e-6
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_refinement_in_long_broken_windows_matches_pade_refinement(n):
+    # t_max 1000 on 800 points puts the grid maximum at the first point, so
+    # the bracket is [0, 2.5], which takes several bracket pieces.
+    battery = xx_battery(n=n, boundary="open")
+    psi = ground_state(battery)
+    charger = rt_charger(*BROKEN, n)
+    trace = power_trace(battery, charger, psi, 1000.0, 800)
+    assert int(np.argmax(trace.power)) == 0
+    assert _nu(charger.matrix) * trace.times[1] > 2
+    t_star, p_max = _pade_refined(battery, charger, psi, trace.times, trace.power)
+    assert abs(trace.p_max - p_max) <= 1e-12
+    assert abs(trace.t_star - t_star) <= 2e-6
+
+
+# (battery, charger, beta of a thermal start or None for the ground state,
+# t_max, n_grid)
+_REFINEMENT_CASES = {
+    "pt-2": lambda: (xx_battery(), build_pt_charger(np.pi / 3, 2), None, 10.0, 2000),
+    "rt-4": lambda: (xx_battery(n=4, boundary="open"), rt_charger(*BROKEN, 4), None, 10.0, 800),
+    "pt-6-thermal": lambda: (
+        xx_battery(n=6, boundary="open"), build_pt_charger(1.2, 6), 1.0, 10.0, 800
+    ),
+    "left-edge": lambda: (xx_battery(), build_pt_charger(np.pi / 3, 2), 0.0, 10.0, 800),
+    "substeps": lambda: (
+        normalize_spectrum(build_noninteracting_battery(2)),
+        rt_charger(*UNBROKEN, 2),
+        None,
+        200.0,
+        16,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFINEMENT_CASES))
+def test_refinement_evaluates_bracket_polynomials_only(monkeypatch, case):
+    # Inside the golden-section search nothing propagates a state: each
+    # evaluation reads the Taylor polynomial of its bracket piece, at most
+    # ceil(nu (hi - lo)) pieces are built, and each has the degree m of the
+    # remainder rule at y = nu w.
+    battery, charger, beta, t_max, n_grid = _REFINEMENT_CASES[case]()
+    rho0 = ground_state(battery) if beta is None else thermal_state(battery, beta)
+    inside, calls, pieces, brackets = [], [], [], []
+
+    def watch(name):
+        original = getattr(battery_dynamics, name)
+
+        def watched(*args):
+            if inside:
+                calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(battery_dynamics, name, watched)
+
+    for name in ("_product_kernel", "_taylor", "expm_array"):
+        watch(name)
+    piece = battery_dynamics._bracket_piece
+    # the degree m is the piece's last argument
+    monkeypatch.setattr(
+        battery_dynamics, "_bracket_piece", lambda *a: pieces.append(a[-1]) or piece(*a)
+    )
+    golden = battery_dynamics._golden_max
+
+    def recorded(f, a, b):
+        brackets.append((a, b))
+        inside.append(1)
+        try:
+            return golden(f, a, b)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(battery_dynamics, "_golden_max", recorded)
+    trace = power_trace(battery, charger, rho0, t_max, n_grid)
+    assert calls == []
+    ((lo, hi),) = brackets
+    assert (lo == 0.0) == (int(np.argmax(trace.power)) == 0) == (case == "left-edge")
+    nu = _nu(charger.matrix)
+    n_pieces = math.ceil(nu * (hi - lo))
+    assert 1 <= len(pieces) <= n_pieces
+    if case == "substeps":
+        assert len(pieces) > 1
+    y = nu * (hi - lo) / n_pieces
+    bound = lambda m: y ** (m + 1) * np.exp(2 * y) / math.factorial(m + 1)
+    for m in pieces:
+        assert bound(m) <= 2.0**-53 and (m == 0 or bound(m - 1) > 2.0**-53)
+
+
+@pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])
+def test_refinement_across_many_pieces_matches_rt_oracle(monkeypatch, params):
+    # 16 grid points over t_max = 1000 make a 125-wide bracket ([0, 125] in
+    # the broken phase), so the search builds dozens of pieces; each starts
+    # from the renormalized end state of the one before, which in the broken
+    # phase would otherwise have grown by e^(0.57 t).
+    battery = normalize_spectrum(build_noninteracting_battery(2))
+    psi = ground_state(battery)
+    charger = rt_charger(*params, 2)
+    seen = []
+    golden = battery_dynamics._golden_max
+
+    def recorded(f, a, b):
+        return golden(lambda t: seen.append((t, f(t))) or seen[-1][1], a, b)
+
+    monkeypatch.setattr(battery_dynamics, "_golden_max", recorded)
+    trace = power_trace(battery, charger, psi, 1000.0, 16)
+    k = int(np.argmax(trace.power))
+    lo = float(trace.times[k - 1]) if k else 0.0
+    assert max(t - lo for t, _ in seen) * _nu(charger.matrix) > 40
+    for t, p in seen:
+        assert abs(p - oracles.rt_power_n2(t, *params)) <= 1e-12
+
+
+def test_left_edge_maxima_read_the_limit_at_zero():
+    # A maximally mixed start (beta = 0) peaks at t -> 0.  Under the PT
+    # charger (fig_thermal_pt) the limit is sqrt(3); under the RT charger
+    # and its twin (fig_thermal_rt) it is 0.  Piece 0 of the bracket
+    # [0, t_2] divides W(t)/t through by t exactly, so no 0/0 rounding shows.
+    t_max, n_grid = _shipped_window("fig_thermal_pt.cfg")
+    battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=2, boundary="periodic")
+    rec = delta_p_max(battery, *pt_pair(np.pi / 3), "thermal", 0.0, t_max, n_grid)
+    assert abs(rec.p_max_nonhermitian - math.sqrt(3.0)) <= 1e-12
+    t_max, n_grid = _shipped_window("fig_thermal_rt.cfg")
+    rec = delta_p_max(4, *rt_pair(0.8, 0.5, 4), "thermal", 0.0, t_max, n_grid)
+    assert abs(rec.p_max_nonhermitian) <= 1e-14
+    assert abs(rec.p_max_hermitian) <= 1e-14
 
 
 @pytest.mark.parametrize("params", [UNBROKEN, BROKEN], ids=["unbroken", "broken"])

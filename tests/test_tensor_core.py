@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,3 +161,15 @@ def test_site_product_of_two_sites_is_the_product_of_embeddings(a, b, sites):
     ea, eb = site_product({r: a}, n), site_product({s: b}, n)
     want = (ea[:, :, None] * eb[None, :, :]).sum(axis=1)
     assert np.array_equal(site_product({r: a, s: b}, n), want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_site_product_equals_numpy_kron(n):
+    # The broadcast product forms exactly numpy.kron's products, so the two
+    # agree bitwise, with a factor at every site and with identities between.
+    rng = np.random.default_rng(n)
+    factors = {r: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for r in range(n)}
+    assert np.array_equal(site_product(factors, n), reduce(np.kron, factors.values()))
+    sparse = {r: f for r, f in factors.items() if r % 2 == 0}
+    want = reduce(np.kron, [sparse.get(r, np.eye(2, dtype=complex)) for r in range(n)])
+    assert np.array_equal(site_product(sparse, n), want)
