@@ -13,7 +13,7 @@ from qbattery import battery_dynamics, dense_linalg
 from qbattery import closed_form_oracles as oracles
 from qbattery.battery_dynamics import (
     _grid_step,
-    _site_propagators,
+    _site_expansion,
     delta_p_max,
     ergotropy,
     evolve_normalized,
@@ -182,6 +182,34 @@ def test_normalized_state_invariant_under_complex_energy_shift(n, c_re, c_im, th
     assert worst <= 1e-10, worst
 
 
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    kernel=st.sampled_from(["product", "dense"]),
+    beta=st.none() | st.floats(0.1, 5.0),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+)
+@example(n=5, kernel="product", beta=1.0, a=0.5, b=0.0)  # exceptional point
+@example(n=4, kernel="dense", beta=1.0, a=0.6, b=0.1)  # broken phase
+def test_evolved_states_are_density_matrices(n, kernel, beta, a, b):
+    # Along a trace every normalized state has unit trace, is Hermitian and
+    # is positive semidefinite, on the product (PT, alpha = pi a) and the
+    # dense (RT, gamma' = 2 a, h' = 2 b) kernels alike.
+    battery = xx_battery(n=n, boundary="open")
+    rho0 = ground_state(battery) if beta is None else thermal_state(battery, beta)
+    if kernel == "product":
+        charger = build_pt_charger(np.pi * a, n)
+    else:
+        charger = rt_charger(2.0 * a, 2.0 * b, n)
+    assert (charger.site_term is not None) == (kernel == "product")
+    for t in 10.0 * np.arange(9) / 8:
+        rho = evolve_normalized(charger, rho0, t).density_matrix()
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
 # --- per-site product propagator ---------------------------------------------------
 
 
@@ -196,8 +224,9 @@ def test_normalized_state_invariant_under_complex_energy_shift(n, c_re, c_im, th
 )
 def test_site_propagators_match_pade(h):
     times = np.array([0.0, 0.3, 2.0, 7.5])
-    got = _site_propagators(h, times)
-    for k, t in zip(got, times):
+    c, s, h0 = _site_expansion(h, times)
+    for ck, sk, t in zip(c, s, times):
+        k = ck * np.eye(2) + sk * h0
         want = expm_array(-1j * t * h)
         assert np.max(np.abs(k - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
 
@@ -205,7 +234,8 @@ def test_site_propagators_match_pade(h):
 def test_site_propagators_exact_at_exceptional_point():
     h = SX + 1j * SZ
     times = np.array([0.5, 10.0, 1e3])
-    got = _site_propagators(h, times)
+    c, s, h0 = _site_expansion(h, times)
+    got = c[:, None, None] * np.eye(2) + s[:, None, None] * h0
     want = np.eye(2) - 1j * times[:, None, None] * h
     assert np.array_equal(got, want)
 
@@ -227,6 +257,67 @@ def test_product_kernel_general_site_term(mixed):
         fast = evolve_normalized(charger, rho0, t).data
         dense = evolve_normalized(plain, rho0, t).data
         assert np.max(np.abs(fast - dense)) < 1e-12
+
+
+_GENERAL_TERM = np.array([[0.3 + 0.2j, 1.1 - 0.4j], [-0.7j, -1.2 + 0.5j]])
+
+
+def _kernel_states(term, n, w, times):
+    """The unnormalized product-kernel states at ``times``, all chunks joined."""
+    chunks = battery_dynamics._product_kernel(term, n, w, times)
+    return np.concatenate([states for _, states in chunks])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("r", [1, 3])
+def test_product_kernel_matches_kron_of_site_exponentials(n, r):
+    # The general term has a trace, is not symmetric and not Hermitian, so
+    # swapped c and s powers, a transposed h0, a phase dropped from s alone
+    # or a skipped site would each show.
+    rng = np.random.default_rng(n)
+    w = rng.normal(size=(2**n, r)) + 1j * rng.normal(size=(2**n, r))
+    times = np.array([0.4, 1.3, 3.0])
+    got = _kernel_states(_GENERAL_TERM, n, w, times)
+    for states, t in zip(got, times):
+        want = reduce(np.kron, [expm_array(-1j * t * _GENERAL_TERM)] * n) @ w
+        assert np.max(np.abs(states - want)) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t", [0.5, 10.0, 1000.0])
+@pytest.mark.parametrize("thermal", [False, True])
+def test_product_kernel_at_exceptional_point_matches_mpmath(t, thermal):
+    # alpha = pi/2: the site term is defective, k(t) = I - i t h, and the
+    # norm of K(t) W grows like t^N; the reference exponentiates the full
+    # 16 x 16 charger at 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    n = 4
+    charger = build_pt_charger(np.pi / 2, n)
+    if thermal:
+        rho0 = thermal_state(xx_battery(n=n, boundary="open"), beta=1.0)
+    else:
+        rng = np.random.default_rng(11)
+        rho0 = QuantumState.pure(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    ((_, got),) = battery_dynamics._evolve(charger, rho0, np.array([t]))
+    with mpmath.workdps(50):
+        k = mpmath.expm(mpmath.matrix(charger.matrix.tolist()) * mpmath.mpc(0, -t))
+        x = k * mpmath.matrix(rho0.factor.tolist())
+        want = np.array((x / mpmath.mnorm(x, "f")).tolist(), dtype=complex)
+    assert np.max(np.abs(got[0] - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("thermal", [False, True])
+def test_product_kernel_chunking_leaves_states_unchanged(monkeypatch, thermal):
+    battery = xx_battery(n=4, boundary="open")
+    rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
+    charger = build_pt_charger(1.1, 4)
+    times = 10.0 * np.arange(1, 49) / 48
+    whole = work_and_ergotropy(battery, charger, rho0, times)
+    # the site vectors Phi_j are built once; each chunk of one (Gibbs) or
+    # four (pure) times reads them
+    monkeypatch.setattr(battery_dynamics, "_CHUNK_ELEMS", 64)
+    chunked = work_and_ergotropy(battery, charger, rho0, times)
+    for got, want in zip(chunked, whole):
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def _reference_traces(battery, rho0, times, propagator):

@@ -212,10 +212,10 @@ def test_pt_work_open_xx_matches_pipeline(n):
     raw = build_battery_xyz(
         BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=n, boundary="open")
     )
-    if n <= 6:
+    if n <= 8:
         # the full pipeline; it confirms the span N and the all-down ground
-        # state that larger N takes as given (eigensolves take seconds at
-        # N = 8 and minutes at N = 10)
+        # state that larger N takes as given (battery prep takes ~0.1 s at
+        # N = 8 and ~0.6 s at N = 9)
         battery = normalize_spectrum(raw)
         assert np.max(np.abs(battery.matrix - (2.0 / n) * raw.matrix)) <= 1e-14
         psi0 = ground_state(battery)

@@ -309,6 +309,25 @@ def test_rt_symmetry_residual():
     assert check_antilinear_symmetry(build_rt_charger(spec), "rt") < 1e-10
 
 
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(alpha=st.floats(0.0, np.pi), n=st.integers(2, 6))
+@example(alpha=np.pi / 2, n=6)
+def test_pt_symmetry_residual_property(alpha, n):
+    assert check_antilinear_symmetry(build_pt_charger(alpha, n), "pt") <= 1e-12
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(
+    gamma_prime=st.floats(0.0, 3.0),
+    h_prime=st.floats(0.0, 3.0),
+    j=st.floats(-2.0, 2.0),
+    n=st.integers(2, 6),
+)
+def test_rt_symmetry_residual_property(gamma_prime, h_prime, j, n):
+    spec = ChargerSpec(kind=RT, n_sites=n, gamma_prime=gamma_prime, J=j, h_prime=h_prime)
+    assert check_antilinear_symmetry(build_rt_charger(spec), "rt") <= 1e-12
+
+
 def test_symmetry_absent_for_plain_sz():
     op = embed_site(pauli("z"), 0, 1)
     assert check_antilinear_symmetry(op, "pt") > 1.0
