@@ -6,42 +6,44 @@ stored at time t is measured against the battery Hamiltonian and the power is
 the work over t.  Every state propagates as its column block W with
 rho = W W^dag (``QuantumState.factor``), as ``W -> K W / ||K W||_F``: K acts
 on the columns once, and a mixed rho(t) is positive semidefinite by
-construction.
+construction.  Both chargers of a comparison start from one battery prepared
+once (``_prepare``).
 
 Grid points, single snapshots and the ergotropy traces all go through one
-propagation path with two kernels.  A charger that is a sum of one identical
-2x2 term per site (the local PT charger and its Hermitian twin, which carry
-``site_term``) propagates as the exact product K(t) = k(t)^(x)N, the
-parallel charger of Campaioli et al., PRL 118, 150601 (2017).  Its site
+propagation path with three kernels.  A charger that is a sum of one
+identical 2x2 term per site (the local PT charger and its Hermitian twin,
+which carry ``site_term``) propagates as the exact product K(t) = k(t)^(x)N,
+the parallel charger of Campaioli et al., PRL 118, 150601 (2017).  Its site
 factor is k(t) = c(t) I + s(t) h0 in closed form, exact at the exceptional
 point too, so K(t) = sum_j c^(N-j) s^j E_j with E_j the sum of h0 over
 every set of j sites: the N + 1 vectors E_j W0 are built once per call
 (O(N^2 2^N r) work), and the states at m times are one (m x (N+1)) @
-((N+1) x d r) matmul.  Every other charger is chained in short steps, each
+((N+1) x d r) matmul.  Every other charger moves in short steps, each
 normalized at once: on an arithmetic grid, P = K(dt) and Q = K(c dt),
 c = ceil(sqrt(m)) capped so that Q needs no squaring, give the first c
 states and carry each block of c to the next (a single time t is the
-one-point grid, K(t) W0); irregular times step on from the previous state
-by a Taylor polynomial.  A short normalized step
-stays well conditioned, where K(t) from t = 0 carries the window's whole
-non-normal transient.  Measured work errors: <= 9.5e-15 (unbroken) and
-<= 3.5e-14 (broken phase) on RT chargers up to t = 1000 against 50 digits
-(N <= 4); 4.0e-9 on the PT charger as a plain matrix (N = 6, t <= 10),
-against 2.8e-6 from exponentials built from t = 0.  Broken-phase RT stays
-finite at long windows (t_max = 1000 at N = 4 to 8).
+one-point grid, K(t) W0); any other times take one walk of Taylor pieces.
+A short normalized step stays well conditioned, where K(t) from t = 0
+carries the window's whole non-normal transient.  Measured work errors:
+<= 9.5e-15 (unbroken) and <= 3.5e-14 (broken phase) on RT chargers up to
+t = 1000 against 50 digits (N <= 4); 4.0e-9 on the PT charger as a plain
+matrix (N = 6, t <= 10), against 2.8e-6 from exponentials built from t = 0.
+Broken-phase RT stays finite at long windows (t_max = 1000 at N = 4 to 8)
+and across long gaps between irregular times.
 
-Golden-section refinement of the maximum propagates nothing per
-evaluation, for product and dense chargers alike.  The bracket [lo, hi]
-around the best grid point is cut into pieces of width w <= 1/nu, and in
-each the state is one truncated Taylor series in the offset x = (t - lo_j)/w
-from the normalized state at the piece's left end: the grid's state at lo,
-or rho(0) itself when the best grid point is the first and lo = 0.  The
-work numerator and the norm are then real polynomials in x whose
-coefficients are Gram sums of the Taylor vectors (the action of exp(tA) on
-a vector, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and an
-evaluation is two Horner passes on Python floats.  From lo = 0 the work
-W(0) = 0 is exact, and the first piece divides it by t as a polynomial, so
-a maximum at t -> 0 reads its limit with no 0/0 rounding.
+The Taylor-piece walker (``_pieces``) applies exp(-i H t) to every dense
+state off the grid: in each piece of width w <= 1/nu the state is one
+truncated Taylor series in the offset x in [0, 1] from the renormalized
+state at the piece's start (the action of exp(tA) on a vector, Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Irregular times read it by
+one Vandermonde matmul per piece.  Golden-section refinement walks the
+bracket [lo, hi] around the best grid point, for product and dense chargers
+alike, from the grid's state at lo, or from rho(0) itself when lo = 0.  The
+work numerator and the norm are real polynomials in x whose coefficients
+are Gram sums of the Taylor vectors, so an evaluation propagates nothing:
+it is two Horner passes on Python floats.  From lo = 0 the work W(0) = 0 is
+exact, and the first piece divides it by t as a polynomial, so a maximum at
+t -> 0 reads its limit with no 0/0 rounding.
 """
 
 from __future__ import annotations
@@ -230,15 +232,14 @@ def _normalize(states: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
-    """Yield ``(slice, states)``: the normalized column blocks W(t), an
-    (m, d, r) stack, evolved from ``rho0.factor`` to ``times[slice]``.
+    """Yield ``(index, states)``: the normalized column blocks W(t), an
+    (m, d, r) stack, evolved from ``rho0.factor`` to ``times[index]``
+    (a slice, or positions at irregular times).
 
     A charger with a ``site_term`` propagates as the exact per-site product
-    (``_product_kernel``): its N + 1 site vectors are built once, and each
-    chunk of times, sized to bound the working memory, is one matmul on
-    them.  Any other is chained on an arithmetic grid (one time t > 0 is a
-    grid too); at irregular times each state, in increasing time, is the
-    one before stepped on by ``_taylor``.
+    (``_product_kernel``).  Any other is chained on an arithmetic grid
+    (``_chain_chunks``; one time t > 0 is a grid too), and irregular or
+    unsorted times take one Taylor-piece walk (``_piece_chunks``).
     """
     term = h_charge.site_term
     if term is not None:
@@ -246,16 +247,9 @@ def _evolve(h_charge: Operator, rho0: QuantumState, times: np.ndarray):
     elif (dt := _grid_step(times)) is not None:
         chunks = _chain_chunks(h_charge.matrix, rho0.factor, times, dt)
     else:
-        gen, nu = _generator(h_charge.matrix)
-        x, t_prev = rho0.factor.copy(), 0.0
-        for k in np.argsort(times, kind="stable"):
-            sl = slice(k, k + 1)
-            x = _normalize(_taylor(gen, nu, x, times[k] - t_prev)[None], times[sl])[0]
-            t_prev = times[k]
-            yield sl, x[None]
-        return
-    for sl, states in chunks:
-        yield sl, _normalize(states, times[sl])
+        chunks = _piece_chunks(h_charge.matrix, rho0.factor, times)
+    for index, states in chunks:
+        yield index, _normalize(states, times[index])
 
 
 def _generator(h_mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -266,25 +260,50 @@ def _generator(h_mat: np.ndarray) -> tuple[np.ndarray, float]:
     return -1j * h_mat, nu
 
 
-def _taylor(gen: np.ndarray, nu: float, x: np.ndarray, delta: float) -> np.ndarray:
-    """exp(gen delta) applied to the columns of ``x`` by a truncated Taylor
-    polynomial, with ``nu >= ||gen||_2``.
+def _split(nu: float, lo: float, hi: float) -> tuple[int, float]:
+    """(s, w): [lo, hi] cut into s = max(1, ceil(nu (hi - lo))) equal pieces
+    of width w <= 1/nu."""
+    s = max(1, math.ceil(nu * (hi - lo)))
+    return s, (hi - lo) / s
 
-    The step is split into s = max(1, ceil(nu delta)) substeps of
-    y = nu delta / s <= 1.  Each applies T_m(gen delta / s) by Horner's rule,
-    v <- x + (delta / (s k)) gen v for k = m, ..., 1, with m from the
-    remainder rule ``_taylor_degree(y)`` that the dense exponential uses
-    too.  Only the running state is stored.
+
+def _pieces(gen: np.ndarray, nu: float, seed: np.ndarray, lo: float, hi: float):
+    """Yield the Taylor vectors v of each piece of [lo, hi] (``_split``) in
+    turn, walked from the normalized state ``seed`` at lo; ``nu >= ||gen||_2``.
+
+    The state at offset x in [0, 1] of a piece is psi(x) = sum_k x^k v[k],
+    with v[k] = (w gen)^k S / k!, k <= m = ``_taylor_degree(nu w)``.  S is
+    ``seed`` in the first piece and psi(1) of the piece before, renormalized
+    (``_normalize`` raises the typed errors), in every later one.
     """
-    s = max(1, math.ceil(nu * delta))
-    m = _taylor_degree(nu * delta / s)
-    h = delta / s
-    for _ in range(s):
-        v = x
-        for k in range(m, 0, -1):
-            v = x + (h / k) * (gen @ v)
-        x = v
-    return x
+    s, w = _split(nu, lo, hi)
+    gen_w, m = w * gen, _taylor_degree(nu * w)
+    for j in range(s):
+        x = _normalize(v.sum(axis=0)[None], np.array([lo + j * w]))[0] if j else seed
+        v = np.empty((m + 1,) + x.shape, dtype=complex)
+        v[0] = x
+        for k in range(1, m + 1):
+            v[k] = (1.0 / k) * (gen_w @ v[k - 1])
+        yield v
+
+
+def _piece_chunks(h_mat: np.ndarray, w0: np.ndarray, times: np.ndarray):
+    """Yield ``(positions, unnormalized states)`` at any ``times`` from one
+    ``_pieces`` walk over [0, max t].  Time t is in piece
+    j = min(int(t / w), s - 1), so the largest lands in the last piece even
+    where that piece's end rounds below it; the states in a piece, at offsets
+    x = t / w - j, are one Vandermonde (times x (m+1)) matmul on its v.
+    """
+    gen, nu = _generator(h_mat)
+    hi = float(times.max(initial=0.0))
+    s, w = _split(nu, 0.0, hi)
+    pos = times / w if w else np.zeros_like(times)  # w = 0: every time is 0
+    index = np.minimum(pos.astype(int), s - 1)
+    for j, v in enumerate(_pieces(gen, nu, w0, 0.0, hi)):
+        sel = np.flatnonzero(index == j)
+        if sel.size:
+            vander = np.vander(pos[sel] - j, len(v), increasing=True)
+            yield sel, (vander @ v.reshape(len(v), -1)).reshape((-1,) + w0.shape)
 
 
 def evolve_normalized(h_charge: Operator, rho0: QuantumState, t: float) -> QuantumState:
@@ -340,8 +359,9 @@ def work_and_ergotropy(
 
 
 def _measure(h_b: Operator, h_charge: Operator, rho0: QuantumState, times, peak=False):
-    """Work and ergotropy at ``times``, and with ``peak`` the normalized state
-    just before the first maximum of work/time (None if that is the first)."""
+    """Work and ergotropy at ``times``; with ``peak`` the normalized state
+    just before the first maximum of work/time (None if that is the first);
+    and the initial energy tr(H_B rho0)."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(times < 0):
         raise ValueError("times must be a 1-d array of values >= 0")
@@ -371,7 +391,7 @@ def _measure(h_b: Operator, h_charge: Operator, rho0: QuantumState, times, peak=
             if power[k] > best:
                 best, before = power[k], states[k - 1].copy() if k else last
             last = states[-1].copy()
-    return work_vals, ergo_vals, before
+    return work_vals, ergo_vals, before, e_init
 
 
 def _antidiagonal_sums(mats: np.ndarray) -> np.ndarray:
@@ -385,39 +405,32 @@ def _antidiagonal_sums(mats: np.ndarray) -> np.ndarray:
     return flat.reshape(mats.shape[:-2] + (q, 2 * q - 1)).sum(axis=-2)
 
 
-def _bracket_piece(
-    gen_w: np.ndarray, h_mat: np.ndarray, seed: np.ndarray, e_init: float, m: int
-) -> tuple[list[float], list[float], np.ndarray]:
+def _bracket_piece(v: np.ndarray, h_mat: np.ndarray, e_init: float) -> tuple[list[float], list[float]]:
     """One piece of the refinement bracket, as polynomials in x in [0, 1].
 
-    With V_k = (gen_w)^k seed / k!, k <= m, the state at offset x is the
-    truncated Taylor series psi(x) = sum_k x^k V_k.  The work numerator
-    tr[psi^dag (H_B - e_init) psi] and the norm tr[psi^dag psi] are then
-    real polynomials of degree 2m whose coefficients are anti-diagonal sums
-    of the Gram matrices A = V^dag H_B V and B = V^dag V:
+    With the piece's Taylor vectors ``v`` (``_pieces``), k <= m = len(v) - 1,
+    the work numerator tr[psi^dag (H_B - e_init) psi] and the norm
+    tr[psi^dag psi] of psi(x) = sum_k x^k v[k] are real polynomials of
+    degree 2m whose coefficients are anti-diagonal sums of the Gram matrices
+    A = V^dag H_B V and B = V^dag V:
     c_n = sum_{j+k=n} (A_jk - e_init B_jk) and D_n = sum_{j+k=n} B_jk.
     Forming c_n before dividing keeps the work exact to rounding where it
     is small against e_init.
 
     Returns (c, D) as lists of Python floats, highest degree first for
-    Horner's rule, and the unnormalized end state psi(1).  Raises
-    ConsistencyError when sum_n |Im a_n|, a_n = sum_{j+k=n} A_jk, which
-    bounds the imaginary part of the energy at every x in [0, 1], exceeds
-    the tolerance.
+    Horner's rule.  Raises ConsistencyError when sum_n |Im a_n|,
+    a_n = sum_{j+k=n} A_jk, which bounds the imaginary part of the energy at
+    every x in [0, 1], exceeds the tolerance.
     """
-    v = np.empty((m + 1,) + seed.shape, dtype=complex)
-    v[0] = seed
-    for k in range(1, m + 1):
-        v[k] = (1.0 / k) * (gen_w @ v[k - 1])
-    flat = v.reshape(m + 1, -1)
+    flat = v.reshape(len(v), -1)
     left = flat.conj()
-    gram_h = left @ (h_mat @ v).reshape(m + 1, -1).T
+    gram_h = left @ (h_mat @ v).reshape(len(v), -1).T
     gram = left @ flat.T
     sums = _antidiagonal_sums(np.stack([gram_h - e_init * gram, gram, gram_h]))
     worst = float(np.abs(sums[2].imag).sum())
     if worst > _IM_TOL:
         raise ConsistencyError(f"work expectation has imaginary residue {worst:.3e}")
-    return sums[0].real[::-1].tolist(), sums[1].real[::-1].tolist(), v.sum(axis=0)
+    return sums[0].real[::-1].tolist(), sums[1].real[::-1].tolist()
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -434,33 +447,23 @@ def _bracket_power(
     """Return ``power(t)``, the work over t for t in [lo, hi], from the
     normalized state ``seed`` at ``lo``.
 
-    The bracket is cut into s = max(1, ceil(nu (hi - lo))) equal pieces of
-    width w <= 1/nu, nu = sqrt(||H||_1 ||H||_inf), and each holds one
-    ``_bracket_piece`` of degree m = ``_taylor_degree(nu w)``, the remainder
-    rule of ``_taylor``.  A piece is built when an evaluation first lands in
-    it; piece j + 1 starts from the end state of piece j, normalized.  An
-    evaluation at t is then N(x) / (D(x) t), x = (t - lo_j) / w, two Horner
-    passes on Python floats.  From lo = 0 (a maximum at the grid's first
-    point), W(0) = 0 exactly: piece 0 drops c_0 and evaluates
+    The pieces of ``_pieces`` are walked as evaluations first land in them
+    and kept as their ``_bracket_piece`` polynomials.  An evaluation at t is
+    N(x) / (D(x) t) in piece j = min(int((t - lo) / w), s - 1), at the offset
+    x = (t - lo) / w - j from its start: two Horner passes on floats.  From
+    lo = 0, W(0) = 0 exactly: piece 0 drops c_0 and evaluates
     (N(x) / x) / (D(x) w), so W(t)/t carries no 0/0 rounding as t -> 0.
     """
     gen, nu = _generator(h_charge.matrix)
-    s = max(1, math.ceil(nu * (hi - lo)))
-    w = (hi - lo) / s
-    gen_w, m = w * gen, _taylor_degree(nu * w)
+    s, w = _split(nu, lo, hi)
+    walk = _pieces(gen, nu, seed, lo, hi)
     from_zero = lo == 0.0
-    pieces = []  # (numerator, norm) coefficients of the pieces built so far
-    end = None  # the unnormalized end state of the last piece built
+    pieces = []  # (numerator, norm) coefficients of the pieces walked so far
 
     def power(t: float) -> float:
-        nonlocal end
         j = min(int((t - lo) / w), s - 1)
         while len(pieces) <= j:
-            if pieces:
-                start = _normalize(end[None], np.array([lo + len(pieces) * w]))[0]
-            else:
-                start = seed
-            num, den, end = _bracket_piece(gen_w, h_mat, start, e_init, m)
+            num, den = _bracket_piece(next(walk), h_mat, e_init)
             pieces.append((num[:-1] if from_zero and not pieces else num, den))
         num, den = pieces[j]
         x = (t - lo) / w - j
@@ -497,10 +500,8 @@ def power_trace(
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if n_grid < 16:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")
-    h_mat = h_b.matrix
     times = t_max * np.arange(1, n_grid + 1) / n_grid
-    work_vals, ergo_vals, seed = _measure(h_b, h_charge, rho0, times, peak=True)
-    e_init = _energy(h_mat, rho0.factor)
+    work_vals, ergo_vals, seed, e_init = _measure(h_b, h_charge, rho0, times, peak=True)
 
     power_vals = work_vals / times
     k_star = int(np.argmax(power_vals))
@@ -511,7 +512,7 @@ def power_trace(
     hi = float(times[k_star + 1]) if k_star + 1 < n_grid else float(t_max)
     if seed is None:
         seed = rho0.factor
-    t_ref, p_ref = _golden_max(_bracket_power(h_mat, h_charge, seed, e_init, lo, hi), lo, hi)
+    t_ref, p_ref = _golden_max(_bracket_power(h_b.matrix, h_charge, seed, e_init, lo, hi), lo, hi)
 
     if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):
         t_star, p_max = t_ref, p_ref
@@ -549,14 +550,23 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return x2, f2
 
 
-def _build_battery(battery) -> Operator:
+def _prepare(battery, init: str = "ground", beta: float | None = None):
+    """``(h_b, rho0)``: the battery normalized to span [-1, 1], and its ground
+    state or, with ``init = "thermal"``, its Gibbs state at ``beta``."""
     if isinstance(battery, BatterySpec):
-        return build_battery_xyz(battery)
-    if isinstance(battery, int):
-        return build_noninteracting_battery(battery)
-    if isinstance(battery, Operator):
-        return battery
-    raise TypeError(f"battery must be a BatterySpec, an int, or an Operator, got {type(battery)}")
+        battery = build_battery_xyz(battery)
+    elif isinstance(battery, int):
+        battery = build_noninteracting_battery(battery)
+    elif not isinstance(battery, Operator):
+        raise TypeError(f"battery must be a BatterySpec, an int, or an Operator, got {type(battery)}")
+    h_b = normalize_spectrum(battery)
+    if init == "ground":
+        return h_b, ground_state(h_b)
+    if init != "thermal":
+        raise ValueError(f"unknown init {init!r}")
+    if beta is None:
+        raise ValueError("thermal init requires beta")
+    return h_b, thermal_state(h_b, beta)
 
 
 def delta_p_max(
@@ -569,18 +579,10 @@ def delta_p_max(
     n_grid: int = 2000,
 ) -> DeltaRecord:
     """P_max difference between a non-Hermitian charger and its Hermitian
-    counterpart for a shared battery and initial state."""
-    h_b = normalize_spectrum(_build_battery(battery))
+    counterpart for a shared battery and initial state (``_prepare``)."""
+    h_b, rho0 = _prepare(battery, init, beta)
     if nonhermitian.n_sites != h_b.n_sites or hermitian.n_sites != h_b.n_sites:
         raise ValueError("chargers must share n_sites with the battery")
-    if init == "ground":
-        rho0 = ground_state(h_b)
-    elif init == "thermal":
-        if beta is None:
-            raise ValueError("thermal init requires beta")
-        rho0 = thermal_state(h_b, beta)
-    else:
-        raise ValueError(f"unknown init {init!r}")
     trace_nh = power_trace(h_b, build_charger(nonhermitian), rho0, t_max, n_grid)
     trace_h = power_trace(h_b, build_charger(hermitian), rho0, t_max, n_grid)
     return DeltaRecord(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form_oracles as oracles
-from .battery_dynamics import _build_battery, delta_p_max, evolve_normalized, work_and_ergotropy
+from .battery_dynamics import _prepare, delta_p_max, evolve_normalized, work_and_ergotropy
 from .errors import DegenerateGroundStateError, OracleDomainError, QBatteryError
 from .model_builders import (
     PT,
@@ -41,9 +41,8 @@ from .model_builders import (
     BatterySpec,
     ChargerSpec,
     build_charger,
-    normalize_spectrum,
 )
-from .state_prep import ground_state
+from .tensor_core import max_sites
 
 DEGEN_MARKER = "DEGEN"
 _J_MARGIN = 0.1  # ground-state degeneracy margin for the (h, J) map
@@ -96,12 +95,15 @@ class SweepConfig:
         for key, value in self.fixed.items():
             if isinstance(value, (int, float)) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-        chain_lengths = _grid_values(*self.ranges["n_sites"]) if "n_sites" in self.ranges else []
-        if "n_sites" in self.fixed:
-            chain_lengths.append(self.fixed["n_sites"])
-        for n in chain_lengths:
+        values = {name: _grid_values(*r) for name, r in self.ranges.items()} | {k: [v] for k, v in self.fixed.items()}
+        for n in values.get("n_sites", []):
             if not float(n).is_integer():
                 raise ValueError(f"n_sites must be an integer, got {n}")
+            if not 2 <= n <= max_sites():
+                raise ValueError(f"n_sites must be in [2, {max_sites()}], got {n}")
+        for beta in values.get("beta", []):
+            if beta < 0:
+                raise ValueError(f"beta must be >= 0, got {beta}")
 
 
 @dataclass
@@ -154,12 +156,6 @@ def _setup(family: str, params: dict) -> tuple[BatterySpec | int, ChargerSpec, C
     return (battery, *(ChargerSpec(kind=kind, n_sites=n, **charger) for kind in kinds))
 
 
-def _ground_battery(battery: BatterySpec | int):
-    """The normalized battery of ``_setup`` and its ground state."""
-    h_b = normalize_spectrum(_build_battery(battery))
-    return h_b, ground_state(h_b)
-
-
 def _ergotropy_trace(config: SweepConfig) -> SweepResult:
     """Time traces of work and ergotropy for one PT and one RT configuration."""
     params = _merged_fixed(config)
@@ -169,7 +165,7 @@ def _ergotropy_trace(config: SweepConfig) -> SweepResult:
     columns = []
     for family in (PT, RT):
         battery, charger, _ = _setup(family, params)
-        h_b, psi0 = _ground_battery(battery)
+        h_b, psi0 = _prepare(battery)
         columns += work_and_ergotropy(h_b, build_charger(charger), psi0, times)
     return SweepResult(
         param_names=["t"],
@@ -648,7 +644,7 @@ def _oracle_checks() -> list[tuple[str, float, float, bool]]:
     times = np.linspace(0.01, 10.0, 400)
     for family, point, names, power, herm_power, state_of in _oracle_cases():
         battery, *specs = _setup(family, {"n_sites": 2, **point})
-        h_b, psi0 = _ground_battery(battery)
+        h_b, psi0 = _prepare(battery)
         charger, herm = (build_charger(spec) for spec in specs)
         errs = []
         for h_charge, closed_form in ((charger, power), (herm, herm_power)):

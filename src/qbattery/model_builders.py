@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,23 +92,26 @@ def _bond_sum(axis_a: str, axis_b: str, n: int, boundary: str) -> np.ndarray:
     return sum(site_product({r: a, s: b}, n) for r, s in bond_pairs(n, boundary))
 
 
+def _xy_chain(J: float, aniso: complex, delta: float, h: float, n: int, boundary: str) -> np.ndarray:
+    """(J/4) sum [(1+a) XX + (1-a) YY] + (delta/4) sum ZZ + (h/2) sum Z over
+    the bonds of an n-site chain, with anisotropy a = ``aniso``; the ZZ sum
+    is built only when delta != 0."""
+    xx = _bond_sum("x", "x", n, boundary)
+    yy = _bond_sum("y", "y", n, boundary)
+    h_mat = 0.25 * J * ((1.0 + aniso) * xx + (1.0 - aniso) * yy)
+    if delta != 0.0:
+        h_mat = h_mat + 0.25 * delta * _bond_sum("z", "z", n, boundary)
+    return h_mat + 0.5 * h * site_sum(pauli("z"), n).matrix
+
+
 def build_battery_xyz(spec: BatterySpec) -> Operator:
     """XYZ chain with transverse field:
 
     H = (J/4) sum [(1+gamma) XX + (1-gamma) YY] + (delta/4) sum ZZ
         + (h/2) sum Z.
     """
-    n = spec.n_sites
-    xx = _bond_sum("x", "x", n, spec.boundary)
-    yy = _bond_sum("y", "y", n, spec.boundary)
-    zz = _bond_sum("z", "z", n, spec.boundary)
-    z = site_sum(pauli("z"), n).matrix
-    h_mat = (
-        0.25 * spec.J * ((1.0 + spec.gamma) * xx + (1.0 - spec.gamma) * yy)
-        + 0.25 * spec.delta * zz
-        + 0.5 * spec.h * z
-    )
-    return Operator(h_mat, n_sites=n, hermitian=True)
+    h_mat = _xy_chain(spec.J, spec.gamma, spec.delta, spec.h, spec.n_sites, spec.boundary)
+    return Operator(h_mat, n_sites=spec.n_sites, hermitian=True)
 
 
 def build_noninteracting_battery(n: int) -> Operator:
@@ -166,17 +170,15 @@ def build_rt_charger(spec: ChargerSpec) -> Operator:
     RT:           (J/4) sum [(1+i gamma') XX + (1-i gamma') YY] + (h'/2) sum Z
     RT-Hermitian: the gamma -> -i gamma' substitution, i.e. the standard XY
                   model with real anisotropy gamma'.
+
+    Both are the battery's XY chain (``_xy_chain``) on a ring, with no ZZ.
     """
     if spec.kind not in (RT, RT_HERMITIAN):
         raise ValueError(f"build_rt_charger expects an RT spec, got {spec.kind!r}")
-    n = spec.n_sites
-    xx = _bond_sum("x", "x", n, "periodic")
-    yy = _bond_sum("y", "y", n, "periodic")
-    z = site_sum(pauli("z"), n).matrix
     aniso = 1j * spec.gamma_prime if spec.kind == RT else spec.gamma_prime
-    h_mat = 0.25 * spec.J * ((1.0 + aniso) * xx + (1.0 - aniso) * yy) + 0.5 * spec.h_prime * z
+    h_mat = _xy_chain(spec.J, aniso, 0.0, spec.h_prime, spec.n_sites, "periodic")
     hermitian = spec.kind == RT_HERMITIAN or spec.gamma_prime == 0.0
-    return Operator(h_mat, n_sites=n, hermitian=hermitian)
+    return Operator(h_mat, n_sites=spec.n_sites, hermitian=hermitian)
 
 
 def build_charger(spec: ChargerSpec) -> Operator:
@@ -188,28 +190,21 @@ def build_charger(spec: ChargerSpec) -> Operator:
     return build_rt_charger(spec)
 
 
-def _parity_conjugator(n: int) -> np.ndarray:
-    """Sitewise sigma^x parity, the conjugation partner of the PT check."""
-    return site_product(dict.fromkeys(range(n), pauli("x").matrix), n)
-
-
-def _rotation_conjugator(n: int) -> np.ndarray:
-    """exp(-i (pi/4) sum sigma^z): diagonal pi/2 spin rotation about z."""
-    site = np.diag(np.exp(-1j * np.pi / 4.0 * np.array([1.0, -1.0])))
-    return site_product(dict.fromkeys(range(n), site), n)
-
-
 def check_antilinear_symmetry(h: Operator, kind: str) -> float:
-    """Relative residual of S conj(H) S^-1 - H for the PT or RT conjugation."""
+    """Relative residual of S conj(H) S^-1 - H for the PT or RT conjugation.
+
+    PT: S is the sitewise sigma^x parity, which flips every bit of a basis
+    index, so S conj(H) S is conj(H) with rows and columns reversed.  RT:
+    S = exp(-i (pi/4) sum sigma^z) is diagonal, so its phases scale the rows
+    and their conjugates the columns.
+    """
     if kind.lower() == "pt":
-        s = _parity_conjugator(h.n_sites)
-        s_inv = s  # sitewise sigma^x is its own inverse
+        transformed = np.conj(h.matrix)[::-1, ::-1]
     elif kind.lower() == "rt":
-        s = _rotation_conjugator(h.n_sites)
-        s_inv = s.conj()  # unitary diagonal
+        phase = reduce(np.kron, [np.exp(-1j * np.pi / 4.0 * np.array([1.0, -1.0]))] * h.n_sites)
+        transformed = phase[:, None] * np.conj(h.matrix) * phase.conj()
     else:
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    transformed = s @ np.conj(h.matrix) @ s_inv
     num = float(np.sqrt(np.sum(np.abs(transformed - h.matrix) ** 2)))
     den = float(np.sqrt(np.sum(np.abs(h.matrix) ** 2)))
     return num / max(den, 1e-300)

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -611,6 +612,34 @@ def test_rt_power_trace_finite_at_long_windows(n, params):
         assert np.max(np.abs(trace.work[79::80] - want)) <= 1e-12
 
 
+def test_irregular_times_finite_in_long_broken_windows():
+    # One walk of renormalized Taylor pieces over [0, 1000]: each piece grows
+    # by at most e, where a step across the whole 700-wide gap overflowed.
+    battery = xx_battery(n=4, boundary="open")
+    psi = ground_state(battery)
+    charger = rt_charger(*BROKEN, 4)
+    times = np.array([700.0, 100.0, 1000.0, 300.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ergo = work_and_ergotropy(battery, charger, psi, times)
+    want = _mp_work_every(battery, charger, psi, 100.0, 10)
+    assert np.max(np.abs(got - want[[6, 0, 9, 2]])) <= 1e-12
+    assert np.all(np.isfinite(ergo))
+
+
+def test_largest_time_at_a_rounded_piece_end_lands_in_the_last_piece():
+    battery = xx_battery(n=4, boundary="open")
+    psi = ground_state(battery)
+    charger = rt_charger(*BROKEN, 4)
+    times = np.array([0.3, 1.842, 1.1, 0.0])
+    _, nu = battery_dynamics._generator(charger.matrix)
+    s, w = battery_dynamics._split(nu, 0.0, 1.842)
+    assert (s - 1) * w + w < 1.842  # the walk's last piece ends just short of t = 1.842
+    yielded = [np.arange(4)[index] for index, _ in battery_dynamics._evolve(charger, psi, times)]
+    assert sorted(np.concatenate(yielded)) == [0, 1, 2, 3]
+    _assert_matches_per_time(battery, charger, psi, times)
+
+
 # --- work -----------------------------------------------------------------------
 
 
@@ -789,26 +818,32 @@ def _non_normal_operator(n):
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("kind", ["unbroken", "broken", "non_normal"])
 def test_taylor_step_matches_mpmath(n, kind):
+    # the end state psi(1) = sum_k v[k] of the last piece of a walk over
+    # [0, delta], against one 50-digit exponential, both normalized
     if kind == "non_normal":
         charger = _non_normal_operator(n)
     else:
         charger = rt_charger(*(UNBROKEN if kind == "unbroken" else BROKEN), n)
     battery = xx_battery(n=n, boundary="open")
     dt = 10.0 / 600
-    # the last step forces s = ceil(nu delta) = 3 Taylor substeps
+    # the last walk takes s = ceil(nu delta) = 3 pieces
     deltas = [0.0, 1e-12, dt, 2 * dt, 2.5 / _nu(charger.matrix)]
     states = [ground_state(battery).factor, thermal_state(battery, beta=1.0).factor]
     gen, nu = -1j * charger.matrix, _nu(charger.matrix)
     for delta in deltas:
         for rho, want in zip(states, _mp_evolved(charger.matrix, delta, states)):
-            got = battery_dynamics._taylor(gen, nu, rho, delta)
-            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (delta, rho.ndim)
+            *_, v = battery_dynamics._pieces(gen, nu, rho, 0.0, delta)
+            got = v.sum(axis=0)
+            got, want = got / np.linalg.norm(got), want / np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 1e-14, (delta, rho.shape)
 
 
 def test_taylor_step_sizes_follow_the_remainder_bound():
+    # every piece of a walk over [0, delta] applies the generator m times,
+    # m from the remainder rule at y = nu delta / s
     charger = rt_charger(*BROKEN, 4)
     nu = _nu(charger.matrix)
-    x = ground_state(xx_battery(n=4, boundary="open")).data
+    x = ground_state(xx_battery(n=4, boundary="open")).factor
     applied = []
 
     class Gen(np.ndarray):
@@ -819,10 +854,13 @@ def test_taylor_step_sizes_follow_the_remainder_bound():
     gen = (-1j * charger.matrix).view(Gen)
     for delta, s in [(0.0, 1), (0.5 / nu, 1), (2.5 / nu, 3)]:
         applied.clear()
-        battery_dynamics._taylor(gen, nu, x, delta)
+        per_piece = []
+        for _ in battery_dynamics._pieces(gen, nu, x, 0.0, delta):
+            per_piece.append(len(applied))
+            applied.clear()
         y = nu * delta / s
-        m = len(applied) // s
-        assert len(applied) == m * s
+        m = per_piece[0]
+        assert per_piece == [m] * s
         bound = lambda m: y ** (m + 1) * np.exp(2 * y) / math.factorial(m + 1)
         assert bound(m) <= 2.0**-53
         assert m == 0 or bound(m - 1) > 2.0**-53
@@ -1005,12 +1043,12 @@ def test_refinement_evaluates_bracket_polynomials_only(monkeypatch, case):
 
         monkeypatch.setattr(battery_dynamics, name, watched)
 
-    for name in ("_product_kernel", "_taylor", "expm_array"):
+    for name in ("_product_kernel", "_chain_chunks", "_piece_chunks", "expm_array"):
         watch(name)
     piece = battery_dynamics._bracket_piece
-    # the degree m is the piece's last argument
+    # the degree m is one less than the number of the piece's Taylor vectors
     monkeypatch.setattr(
-        battery_dynamics, "_bracket_piece", lambda *a: pieces.append(a[-1]) or piece(*a)
+        battery_dynamics, "_bracket_piece", lambda *a: pieces.append(len(a[0]) - 1) or piece(*a)
     )
     golden = battery_dynamics._golden_max
 

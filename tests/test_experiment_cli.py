@@ -176,6 +176,25 @@ def test_validate_rejects_non_integer_n_sites(experiment, ranges, fixed, bad):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "experiment,ranges,fixed,message",
+    [
+        ("fig_rt_scaling_N", {"n_sites": (1.0, 3.0, 3)}, {}, r"n_sites must be in \[2, 12\], got 1.0"),
+        ("fig_pmax_vs_alpha", {"alpha": (0.2, 0.8, 2)}, {"n_sites": 13}, r"n_sites must be in \[2, 12\], got 13"),
+        ("fig_thermal_rt", {"beta": (-1.0, 1.0, 3)}, {}, "beta must be >= 0, got -1.0"),
+        ("fig_thermal_pt", {"alpha": (0.2, 0.8, 2)}, {"beta": -0.5}, "beta must be >= 0, got -0.5"),
+    ],
+    ids=["swept-n-sites", "fixed-n-sites", "swept-beta", "fixed-beta"],
+)
+def test_validate_rejects_n_sites_off_the_chain_range_and_negative_beta(
+    monkeypatch, experiment, ranges, fixed, message
+):
+    monkeypatch.delenv("QBATTERY_MAX_SITES", raising=False)
+    cfg = SweepConfig(experiment=experiment, ranges=ranges, fixed=fixed)
+    with pytest.raises(ValueError, match=message):
+        cfg.validate()
+
+
 def test_validate_accepts_integral_float_n_sites():
     SweepConfig(experiment="fig_scaling_N", ranges={"n_sites": (2.0, 4.0, 3)}).validate()
     small_map_config(fixed={"n_sites": 6.0}).validate()
@@ -480,8 +499,9 @@ def test_cli_overrides(tmp_path):
         ("experiment = fig_rt_map\ngamma_prime = 0.2 : 0.6 : 2\nh_prime = 0.3\n", ["--workers", "-1"], "workers must be >= 0"),
         ("experiment = fig_rt_map\ngamma_prime = 10**400\n", [], "cannot parse number"),
         ("experiment = fig_rt_scaling_N\nn_sites = 2 : 5 : 3\n", [], "n_sites must be an integer, got 3.5"),
+        ("experiment = fig_thermal_rt\nbeta = -1 : 1 : 3\n", ["--workers", "2"], "beta must be >= 0, got -1.0"),
     ],
-    ids=["missing-file", "negative-workers", "overflow", "non-integer-n-sites"],
+    ids=["missing-file", "negative-workers", "overflow", "non-integer-n-sites", "negative-beta"],
 )
 def test_cli_input_errors_exit_2_without_traceback(tmp_path, capsys, text, args, message):
     config = tmp_path / "sweep.cfg"

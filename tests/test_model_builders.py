@@ -26,8 +26,6 @@ from qbattery.model_builders import (
     check_antilinear_symmetry,
     classify_phase,
     normalize_spectrum,
-    _parity_conjugator,
-    _rotation_conjugator,
 )
 from qbattery.state_prep import ground_state
 from qbattery.tensor_core import Operator, embed_site, pauli
@@ -365,14 +363,15 @@ def kron_field(m, n):
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_battery_assembly_is_exact(n, boundary):
-    J, g, d, h = 0.7, 0.3, -0.4, 1.3
-    spec = BatterySpec(J=J, gamma=g, delta=d, h=h, n_sites=n, boundary=boundary)
-    want = (
-        0.25 * J * ((1.0 + g) * kron_bond_sum(SX, SX, n, boundary) + (1.0 - g) * kron_bond_sum(SY, SY, n, boundary))
-        + 0.25 * d * kron_bond_sum(SZ, SZ, n, boundary)
-        + 0.5 * h * kron_field(SZ, n)
-    )
-    assert np.array_equal(build_battery_xyz(spec).matrix, want)
+    J, g, h = 0.7, 0.3, 1.3
+    for d in (-0.4, 0.0):  # delta = 0 builds no ZZ sum
+        spec = BatterySpec(J=J, gamma=g, delta=d, h=h, n_sites=n, boundary=boundary)
+        want = (
+            0.25 * J * ((1.0 + g) * kron_bond_sum(SX, SX, n, boundary) + (1.0 - g) * kron_bond_sum(SY, SY, n, boundary))
+            + 0.25 * d * kron_bond_sum(SZ, SZ, n, boundary)
+            + 0.5 * h * kron_field(SZ, n)
+        )
+        assert np.array_equal(build_battery_xyz(spec).matrix, want), d
 
 
 @pytest.mark.parametrize("kind", [RT, RT_HERMITIAN])
@@ -392,9 +391,21 @@ def test_rt_charger_assembly_is_exact(n, kind):
 def test_pt_charger_and_conjugators_are_exact(n):
     term = SX + 1j * np.sin(1.1) * SZ
     assert np.array_equal(build_pt_charger(1.1, n).matrix, kron_field(term, n))
-    assert np.array_equal(_parity_conjugator(n), reduce(np.kron, [SX] * n))
+    # the symmetry residuals against S conj(H) S^-1 with the Kronecker
+    # conjugators: the sitewise sigma^x parity (PT) and exp(-i (pi/4) sum Z) (RT)
     rot = np.diag(np.exp(-1j * np.pi / 4.0 * np.array([1.0, -1.0])))
-    assert np.array_equal(_rotation_conjugator(n), reduce(np.kron, [rot] * n))
+    conjugators = {"pt": reduce(np.kron, [SX] * n), "rt": reduce(np.kron, [rot] * n)}
+    rng = np.random.default_rng(n)
+    d = 2**n
+    rt_spec = ChargerSpec(kind=RT, n_sites=n, gamma_prime=0.8, J=1.1, h_prime=0.5)
+    for h in (
+        build_pt_charger(1.1, n),
+        build_rt_charger(rt_spec),
+        Operator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), n_sites=n),
+    ):
+        for kind, s in conjugators.items():
+            want = np.linalg.norm(s @ h.matrix.conj() @ np.linalg.inv(s) - h.matrix) / np.linalg.norm(h.matrix)
+            assert abs(check_antilinear_symmetry(h, kind) - want) <= 1e-15, kind
 
 
 @pytest.mark.parametrize(
