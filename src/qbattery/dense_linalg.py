@@ -6,10 +6,11 @@ truncated Taylor core (matmuls only, no linear solve), Hermitian
 eigendecomposition by one Householder tridiagonalization (its reflectors
 kept, Q formed only when all vectors are wanted) with implicit QL for the
 values and, on request, all vectors, or inverse iteration on the
-tridiagonal form for the ground vector alone (``HermitianSpectrum``; an
-affine map a M + b I of a reduced matrix reuses its reduction),
-general eigenvalues by Hessenberg reduction plus shifted QR, and a
-rank-based defectiveness test.
+tridiagonal form for the ground vector alone (``HermitianSpectrum``, the one
+Hermiticity check; a M + b I of a reduced matrix reuses its reduction),
+general eigenvalues by Hessenberg reduction and shifted QR in place on the
+active block, and a rank-based defectiveness test.  Both reductions take
+their Householder vectors from ``_reflector``.
 
 The dimensions of interest are small (<= 2**12), so O(n^3) dense kernels with
 vectorized inner loops are the right tool.
@@ -122,6 +123,25 @@ def _check_hermitian(a: np.ndarray) -> None:
         )
 
 
+def _reflector(x: np.ndarray, out: np.ndarray, tiny: float):
+    """Householder reflector of the vector x: writes into ``out`` the unit v
+    with (I - 2 v v^dag) x = beta e_0 and returns beta, or returns None
+    (``out`` untouched) when ||x|| < ``tiny``.
+
+    beta = -x_0/|x_0| ||x|| has the phase opposite to x_0, so v_0 = x_0 - beta
+    adds magnitudes, |v_0| = |x_0| + ||x|| > 0, and nothing cancels.
+    """
+    xnorm = math.sqrt(float(np.sum(np.abs(x) ** 2)))
+    if xnorm < tiny:
+        return None
+    x0 = x[0]
+    beta = -(x0 / abs(x0) if abs(x0) > 0 else 1.0) * xnorm
+    out[:] = x
+    out[0] -= beta
+    out /= math.sqrt(float(np.sum(np.abs(out) ** 2)))
+    return beta
+
+
 def _tridiagonalize(a: np.ndarray, fro: float):
     """Reduce Hermitian a to real symmetric tridiagonal form T = Q^dag a Q.
 
@@ -138,25 +158,16 @@ def _tridiagonalize(a: np.ndarray, fro: float):
     # offset sum_{j < k} (n - 1 - j).
     store = np.empty(n * (n - 1) // 2, dtype=complex)
     start = 0
-    scale = max(1.0, fro)
+    tiny = 1e3 * _EPS * max(1.0, fro) / max(n, 1)
     for k in range(n - 2):
         x = a[k + 1 :, k]
         v = store[start : start + x.size]
         start += x.size
-        xnorm = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if xnorm < 1e3 * _EPS * scale / max(n, 1):
+        beta = _reflector(x, v, tiny)
+        if beta is None:
             a[k + 1 :, k] = 0.0
             a[k, k + 1 :] = 0.0
             continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if abs(x0) > 0 else 1.0
-        beta = -phase * xnorm
-        v[:] = x
-        v[0] -= beta
-        vnorm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
         # Two-sided reflection P B P on the trailing block, P = I - 2 v v^dag:
         # with w = B v, tau = v^dag w and u = 2 w - 2 tau v, that is the
         # rank-two update B - v u^dag - u v^dag.
@@ -400,22 +411,14 @@ def hermitian_eig(m, compute_vectors: bool = True) -> EigenDecomposition:
 def _hessenberg(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     n = a.shape[0]
-    scale = max(1.0, _frobenius(a))
+    tiny = 1e3 * _EPS * max(1.0, _frobenius(a)) / max(n, 1)
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        xnorm = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if xnorm < 1e3 * _EPS * scale / max(n, 1):
+        v = np.empty_like(x)
+        beta = _reflector(x, v, tiny)
+        if beta is None:
             a[k + 2 :, k] = 0.0
             continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if abs(x0) > 0 else 1.0
-        beta = -phase * xnorm
-        v = x.copy()
-        v[0] -= beta
-        vnorm = math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
         a[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ a[k + 1 :, k:])
         a[:, k + 1 :] -= 2.0 * np.outer(a[:, k + 1 :] @ v, v.conj())
         a[k + 1, k] = beta
@@ -434,13 +437,12 @@ def _wilkinson_shift(h, hi) -> complex:
     return mu1 if abs(mu1 - h[hi, hi]) <= abs(mu2 - h[hi, hi]) else mu2
 
 
-def _qr_step(h, lo, hi, mu) -> None:
-    """One explicit shifted QR step on the active Hessenberg block, in place."""
-    idx = np.arange(lo, hi + 1)
-    block = h[np.ix_(idx, idx)].copy()
+def _qr_step(block: np.ndarray, mu) -> None:
+    """One explicit shifted QR step on the active Hessenberg block, a view
+    into the full Hessenberg matrix, in place."""
     w = block.shape[0]
-    for j in range(w):
-        block[j, j] -= mu
+    diag = np.diag_indices(w)
+    block[diag] -= mu
     givens = []
     for k in range(w - 1):
         f = block[k, k]
@@ -465,9 +467,7 @@ def _qr_step(h, lo, hi, mu) -> None:
         col_n = block[: k + 2, k + 1].copy()
         block[: k + 2, k] = fd * col_k + gd * col_n
         block[: k + 2, k + 1] = -np.conj(gd) * col_k + np.conj(fd) * col_n
-    for j in range(w):
-        block[j, j] += mu
-    h[np.ix_(idx, idx)] = block
+    block[diag] += mu
 
 
 def general_eigenvalues(m) -> np.ndarray:
@@ -476,10 +476,6 @@ def general_eigenvalues(m) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise NumericRangeError("non-finite input to eigenvalue iteration")
     n = a.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(a[0, 0])])
     trace_in = complex(np.trace(a))
     h = _hessenberg(a)
     values: list[complex] = []
@@ -488,30 +484,23 @@ def general_eigenvalues(m) -> np.ndarray:
     cap = _QR_SWEEP_FACTOR * n
     stagnation = 0
     while hi >= 0:
-        if hi == 0:
-            values.append(complex(h[0, 0]))
-            hi -= 1
-            continue
-        # Deflate negligible subdiagonal entries in the active tail.
-        k = hi
-        while k > 0:
-            thr = _QR_DEFLATION_TOL * (abs(h[k - 1, k - 1]) + abs(h[k, k]))
-            if abs(h[k, k - 1]) <= max(thr, 1e-300):
-                h[k, k - 1] = 0.0
+        # The active block h[lo:hi+1, lo:hi+1] starts at the nearest row
+        # lo <= hi whose h[lo, lo-1] is negligible (lo = 0 if none).  That
+        # entry is zeroed: its test reads h[lo, lo], which the QR steps on
+        # the block move, and a deflation once taken must stay taken.
+        lo = hi
+        while lo > 0:
+            thr = _QR_DEFLATION_TOL * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
+            if abs(h[lo, lo - 1]) <= max(thr, 1e-300):
+                h[lo, lo - 1] = 0.0
                 break
-            k -= 1
-        lo = k
-        if lo == hi:
-            values.append(complex(h[hi, hi]))
-            hi -= 1
-            stagnation = 0
-            continue
-        if hi - lo == 1:
-            mu1, mu2 = _eig2x2(
-                h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi]
-            )
-            values.extend([mu1, mu2])
-            hi -= 2
+            lo -= 1
+        if hi - lo < 2:
+            if lo == hi:
+                values.append(complex(h[hi, hi]))
+            else:
+                values.extend(_eig2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi]))
+            hi = lo - 1
             stagnation = 0
             continue
         steps += 1
@@ -524,7 +513,7 @@ def general_eigenvalues(m) -> np.ndarray:
             mu = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
         else:
             mu = _wilkinson_shift(h, hi)
-        _qr_step(h, lo, hi, mu)
+        _qr_step(h[lo : hi + 1, lo : hi + 1], mu)
     vals = np.array(values, dtype=complex)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
@@ -543,8 +532,6 @@ def _rank(a: np.ndarray, tol: float) -> int:
     rank = 0
     for _ in range(n):
         sub = np.abs(work[rank:, rank:])
-        if sub.size == 0:
-            break
         flat = int(np.argmax(sub))
         i, j = divmod(flat, sub.shape[1])
         if sub[i, j] <= tol:

@@ -104,6 +104,12 @@ class SweepConfig:
         for beta in values.get("beta", []):
             if beta < 0:
                 raise ValueError(f"beta must be >= 0, got {beta}")
+        for t in values.get("t", []):
+            if t <= 0:
+                raise ValueError(f"t must be > 0, got {t}")
+        for boundary in values.get("boundary", []):
+            if boundary not in ("open", "periodic"):
+                raise ValueError(f"boundary must be open or periodic, got {boundary!r}")
 
 
 @dataclass
@@ -160,8 +166,6 @@ def _ergotropy_trace(config: SweepConfig) -> SweepResult:
     """Time traces of work and ergotropy for one PT and one RT configuration."""
     params = _merged_fixed(config)
     times = _grid_values(*config.ranges["t"])
-    if any(t <= 0 for t in times):
-        raise ValueError("fig_ergotropy needs t > 0")
     columns = []
     for family in (PT, RT):
         battery, charger, _ = _setup(family, params)
@@ -489,7 +493,7 @@ def _plot_script(result: SweepResult, csv_name: str) -> str:
         '    reader = csv.reader(line for line in fh if not line.startswith("#"))',
         "    header = next(reader)",
         "    for row in reader:",
-        '        rows.append([np.nan if v == "DEGEN" else float(v) for v in row])',
+        f'        rows.append([np.nan if v == {DEGEN_MARKER!r} else float(v) for v in row])',
         "data = np.array(rows)",
     ]
     if len(counts) == 2 and len(result.rows) == counts[0] * counts[1]:

@@ -111,7 +111,7 @@ def build_battery_xyz(spec: BatterySpec) -> Operator:
         + (h/2) sum Z.
     """
     h_mat = _xy_chain(spec.J, spec.gamma, spec.delta, spec.h, spec.n_sites, spec.boundary)
-    return Operator(h_mat, n_sites=spec.n_sites, hermitian=True)
+    return Operator(h_mat, n_sites=spec.n_sites)
 
 
 def build_noninteracting_battery(n: int) -> Operator:
@@ -140,7 +140,7 @@ def normalize_spectrum(h: Operator) -> Operator:
     b = -(e_max + e_min) / span
     scaled = a * h.matrix
     scaled.flat[:: h.dim + 1] += b
-    out = Operator(scaled, n_sites=h.n_sites, hermitian=True)
+    out = Operator(scaled, n_sites=h.n_sites)
     out.__dict__["spectrum"] = spec._affine(a, b)
     return out
 
@@ -153,7 +153,7 @@ def build_pt_charger(alpha: float, n: int) -> Operator:
     """
     s = math.sin(alpha)
     term = pauli("x").matrix + (1j * s) * pauli("z").matrix
-    return site_sum(Operator(term, n_sites=1, hermitian=(s == 0.0)), n)
+    return site_sum(Operator(term, n_sites=1), n)
 
 
 def build_pt_hermitian_charger(alpha: float, n: int) -> Operator:
@@ -161,7 +161,7 @@ def build_pt_hermitian_charger(alpha: float, n: int) -> Operator:
     site, kept as ``site_term``."""
     s = math.sin(alpha)
     term = pauli("x").matrix + s * pauli("z").matrix
-    return site_sum(Operator(term, n_sites=1, hermitian=True), n)
+    return site_sum(Operator(term, n_sites=1), n)
 
 
 def build_rt_charger(spec: ChargerSpec) -> Operator:
@@ -177,8 +177,7 @@ def build_rt_charger(spec: ChargerSpec) -> Operator:
         raise ValueError(f"build_rt_charger expects an RT spec, got {spec.kind!r}")
     aniso = 1j * spec.gamma_prime if spec.kind == RT else spec.gamma_prime
     h_mat = _xy_chain(spec.J, aniso, 0.0, spec.h_prime, spec.n_sites, "periodic")
-    hermitian = spec.kind == RT_HERMITIAN or spec.gamma_prime == 0.0
-    return Operator(h_mat, n_sites=spec.n_sites, hermitian=hermitian)
+    return Operator(h_mat, n_sites=spec.n_sites)
 
 
 def build_charger(spec: ChargerSpec) -> Operator:

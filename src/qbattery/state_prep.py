@@ -115,19 +115,20 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def ground_state(h: Operator, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> QuantumState:
+def ground_state(h: Operator) -> QuantumState:
     """Eigenvector of the smallest eigenvalue, phase-fixed: the ``ground``
     vector of ``h.spectrum``, so no other eigenvector is computed.
 
-    Raises when the ground space is degenerate within ``degeneracy_tol``; the
-    caller must shift parameters away from the crossing.
+    Raises when the ground space is degenerate within
+    ``DEFAULT_DEGENERACY_TOL``; the caller must shift parameters away from
+    the crossing.
     """
     spec = h.spectrum
     if h.dim > 1:
         gap = float(spec.values[1] - spec.values[0])
-        if gap < degeneracy_tol:
+        if gap < DEFAULT_DEGENERACY_TOL:
             raise DegenerateGroundStateError(
-                f"ground-state gap {gap:.3e} below tolerance {degeneracy_tol:.3e}"
+                f"ground-state gap {gap:.3e} below tolerance {DEFAULT_DEGENERACY_TOL:.3e}"
             )
     return QuantumState.pure(_fix_phase(spec.ground))
 

@@ -59,12 +59,11 @@ class Operator:
     share one reduction.  ``hermitian_eig`` of an operator reads this
     spectrum too.  Its numeric Hermiticity check is the one gate for every
     eigen-based routine: a non-Hermitian ``matrix`` raises ``ValueError``
-    there, whatever the ``hermitian`` flag the builder declared.
+    there.
     """
 
     matrix: np.ndarray
     n_sites: int
-    hermitian: bool = False
     site_term: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,7 +97,7 @@ def pauli(axis: str) -> Operator:
     """Single-site Pauli matrix for ``axis`` in {'x', 'y', 'z', 'identity'}."""
     if axis not in _PAULI:
         raise ValueError(f"unknown Pauli axis {axis!r}")
-    return Operator(_PAULI[axis].copy(), n_sites=1, hermitian=True)
+    return Operator(_PAULI[axis].copy(), n_sites=1)
 
 
 def site_product(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
@@ -132,7 +131,7 @@ def embed_site(op: Operator, site: int, n: int) -> Operator:
     Returns I (x) ... (x) op (x) ... (x) I with ``op`` as the ``site``-th
     tensor factor counted from the left.
     """
-    return Operator(site_product({site: op.matrix}, n), n_sites=n, hermitian=op.hermitian)
+    return Operator(site_product({site: op.matrix}, n), n_sites=n)
 
 
 def site_sum(op: Operator, n: int) -> Operator:
@@ -144,7 +143,7 @@ def site_sum(op: Operator, n: int) -> Operator:
     total = site_product({0: op.matrix}, n)
     for r in range(1, n):
         total += site_product({r: op.matrix}, n)
-    out = Operator(total, n_sites=n, hermitian=op.hermitian)
+    out = Operator(total, n_sites=n)
     object.__setattr__(out, "site_term", op.matrix)
     return out
 

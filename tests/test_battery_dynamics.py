@@ -385,7 +385,7 @@ def test_product_kernel_matches_dense(n, alpha, twin, thermal):
     battery = xx_battery(n=n, boundary="open")
     rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
     charger = (build_pt_hermitian_charger if twin else build_pt_charger)(alpha, n)
-    plain = Operator(charger.matrix, n_sites=n, hermitian=charger.hermitian)
+    plain = Operator(charger.matrix, n_sites=n)
     fast = power_trace(battery, charger, rho0, 10.0, 64)
     dense = power_trace(battery, plain, rho0, 10.0, 64)
     assert abs(fast.p_max - dense.p_max) <= 1e-10
@@ -424,7 +424,7 @@ def test_grid_split_arithmetic_progression():
 )
 def test_grid_split_other_times_one_anchor_each(times, want):
     # a single time t is the one-point grid K(t) W0; the others have no
-    # spacing, and each time is one Taylor step on from the one before
+    # spacing, and are all read off one walk of Taylor pieces from t = 0
     assert _grid_step(np.array(times)) == want
 
 
@@ -881,7 +881,7 @@ def test_dense_trace_builds_at_most_three_exponentials(monkeypatch):
     assert len(calls) == 3  # and K(t0)
     calls.clear()
     work_and_ergotropy(battery, charger, psi, [0.3, 1.1, 4.0])
-    assert calls == []  # Taylor steps
+    assert calls == []  # one walk of Taylor pieces
     evolve_normalized(charger, psi, 2.5)
     assert len(calls) == 1  # a one-point grid: K(t) alone
     # refinement builds none, inside the grid and at its left edge (the

@@ -225,7 +225,7 @@ def test_pt_work_open_xx_matches_pipeline(n):
             want = [cfo.pt_work_open_xx(n, alpha, t, hermitian) for t in times]
             assert np.max(np.abs(got - want)) <= 1e-12
     else:
-        battery = Operator((2.0 / n) * raw.matrix, n_sites=n, hermitian=True)
+        battery = Operator((2.0 / n) * raw.matrix, n_sites=n)
         psi0 = QuantumState.pure(np.eye(2**n, dtype=complex)[-1])
         for alpha, build, hermitian in chargers:
             charger = build(alpha, n)

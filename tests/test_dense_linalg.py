@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbattery.dense_linalg import (
     HermitianSpectrum,
     _inverse_iteration,
+    _reflector,
     expm_array,
     general_eigenvalues,
     hermitian_eig,
@@ -263,6 +264,28 @@ def test_periodic_battery_at_j_equal_h_stays_degenerate(n):
         ground_state(normalize_spectrum(raw))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    parts=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=12)
+)
+@example(parts=[(0.0, 0.0), (3.0, -4.0)])  # x_0 = 0: beta is real
+@example(parts=[(-1.0, 1.0), (1e-9, 0.0), (0.0, 1e-9)])  # x nearly along e_0
+def test_reflector_maps_x_onto_beta_e0(parts):
+    x = np.array([complex(a, b) for a, b in parts])
+    xnorm = float(np.linalg.norm(x))
+    assume(xnorm > 1e-100)
+    out = np.full_like(x, np.nan)
+    assert _reflector(x, out, 2.0 * xnorm) is None
+    assert np.all(np.isnan(out))
+    beta = _reflector(x, out, 0.5 * xnorm)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-14
+    e0 = np.zeros_like(x)
+    e0[0] = 1.0
+    assert np.max(np.abs(x - 2.0 * np.vdot(out, x) * out - beta * e0)) <= 1e-14 * xnorm
+    # beta has the phase opposite to x_0, so v_0 = x_0 - beta cancels nothing
+    assert abs(beta * np.conj(x[0]) + xnorm * abs(x[0])) <= 1e-14 * xnorm * abs(x[0])
+
+
 # --- general eigenvalues -----------------------------------------------------
 
 
@@ -299,6 +322,24 @@ def test_general_eigenvalues_trace_and_numpy_reference():
         got = vals[np.lexsort((vals.imag, vals.real))]
         ref = ref[np.lexsort((ref.imag, ref.real))]
         assert np.max(np.abs(got - ref)) < 1e-9 * max(1.0, np.abs(a).max())
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 3), (3, 2, 1), (2, 1, 3, 1, 2)])
+def test_general_eigenvalues_deflate_in_mid_chain(sizes):
+    # Block upper triangular: the Hessenberg form keeps exact zeros between
+    # the diagonal blocks, so 1x1, 2x2 and 3x3 blocks deflate above the
+    # foot of the chain as well as at it.
+    rng = np.random.default_rng(33)
+    d = sum(sizes)
+    a = random_complex(rng, d)
+    start = 0
+    for b in sizes:
+        a[start + b :, start : start + b] = 0.0
+        start += b
+    got = general_eigenvalues(a)
+    ref = np.linalg.eigvals(a)
+    ref = ref[np.lexsort((ref.imag, ref.real))]
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 # --- defectiveness ------------------------------------------------------------

@@ -415,6 +415,7 @@ def test_emit_plot_script(tmp_path):
     src = script.read_text()
     compile(src, str(script), "exec")
     assert "map.csv" in src
+    assert f"v == {DEGEN_MARKER!r}" in src
 
 
 def test_emit_failure_names_path():
@@ -500,8 +501,10 @@ def test_cli_overrides(tmp_path):
         ("experiment = fig_rt_map\ngamma_prime = 10**400\n", [], "cannot parse number"),
         ("experiment = fig_rt_scaling_N\nn_sites = 2 : 5 : 3\n", [], "n_sites must be an integer, got 3.5"),
         ("experiment = fig_thermal_rt\nbeta = -1 : 1 : 3\n", ["--workers", "2"], "beta must be >= 0, got -1.0"),
+        ("experiment = fig_pmax_vs_alpha\nalpha = 0.5 : 1 : 2\nboundary = ring\n", [], "boundary must be open or periodic, got 'ring'"),
+        ("experiment = fig_ergotropy\nt = 0 : 1 : 5\n", [], "t must be > 0, got 0.0"),
     ],
-    ids=["missing-file", "negative-workers", "overflow", "non-integer-n-sites", "negative-beta"],
+    ids=["missing-file", "negative-workers", "overflow", "non-integer-n-sites", "negative-beta", "unknown-boundary", "zero-time"],
 )
 def test_cli_input_errors_exit_2_without_traceback(tmp_path, capsys, text, args, message):
     config = tmp_path / "sweep.cfg"

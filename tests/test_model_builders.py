@@ -51,7 +51,6 @@ def test_battery_xx_spectrum():
     h = build_battery_xyz(xx_spec())
     vals = hermitian_eig(h, compute_vectors=False).values
     assert np.allclose(vals, [-1.0, -0.5, 0.5, 1.0], atol=1e-13)
-    assert h.hermitian
 
 
 def test_battery_ising_like_hand_expansion():
@@ -88,9 +87,9 @@ def test_noninteracting_battery():
 
 
 def test_normalize_affine_cases():
-    two_sz = Operator(2.0 * SZ, n_sites=1, hermitian=True)
+    two_sz = Operator(2.0 * SZ, n_sites=1)
     assert np.max(np.abs(normalize_spectrum(two_sz).matrix - SZ)) < 1e-12
-    shifted = Operator(SZ + 5.0 * np.eye(2), n_sites=1, hermitian=True)
+    shifted = Operator(SZ + 5.0 * np.eye(2), n_sites=1)
     assert np.max(np.abs(normalize_spectrum(shifted).matrix - SZ)) < 1e-12
 
 
@@ -119,7 +118,7 @@ def test_normalized_spectrum_spans_unit_interval(spec):
 
 
 def test_normalize_degenerate_spectrum_error():
-    ident = Operator(np.eye(4, dtype=complex), n_sites=2, hermitian=True)
+    ident = Operator(np.eye(4, dtype=complex), n_sites=2)
     with pytest.raises(DegenerateSpectrumError):
         normalize_spectrum(ident)
 
@@ -177,8 +176,6 @@ def test_normalized_periodic_battery_at_j_equal_minus_h_stays_degenerate(n):
 
 def test_pt_charger_hermitian_limit():
     assert np.array_equal(build_pt_charger(0.0, 1).matrix, SX)
-    assert build_pt_charger(0.0, 1).hermitian
-    assert not build_pt_charger(np.pi / 3, 1).hermitian
 
 
 def test_pt_charger_single_site_eigenvalues():
@@ -256,7 +253,6 @@ def test_rt_charger_hand_expansion():
 def test_rt_hermitian_charger_flag_and_matrix():
     spec = ChargerSpec(kind=RT_HERMITIAN, n_sites=2, gamma_prime=0.8, J=1.0, h_prime=0.5)
     op = build_rt_charger(spec)
-    assert op.hermitian
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-15
 
 
@@ -291,7 +287,7 @@ def test_build_charger_dispatch():
     pt = build_charger(ChargerSpec(kind=PT, n_sites=2, alpha=0.3))
     assert np.array_equal(pt.matrix, build_pt_charger(0.3, 2).matrix)
     pth = build_charger(ChargerSpec(kind=PT_HERMITIAN, n_sites=2, alpha=0.3))
-    assert pth.hermitian
+    assert np.array_equal(pth.matrix, build_pt_hermitian_charger(0.3, 2).matrix)
 
 
 # --- symmetry checks and phase classification -----------------------------------

@@ -55,13 +55,13 @@ def test_thermal_infinite_temperature_is_maximally_mixed():
 
 
 def test_thermal_zero_temperature_projector():
-    sz_op = Operator(SZ, n_sites=1, hermitian=True)
+    sz_op = Operator(SZ, n_sites=1)
     rho = thermal_state(sz_op, beta=math.inf)
     assert np.max(np.abs(rho.data - np.diag([0.0, 1.0]))) < 1e-12
 
 
 def test_thermal_two_level_gibbs():
-    sz_op = Operator(SZ, n_sites=1, hermitian=True)
+    sz_op = Operator(SZ, n_sites=1)
     rho = thermal_state(sz_op, beta=1.0)
     z = np.exp(-1.0) + np.exp(1.0)
     want = np.diag([np.exp(-1.0), np.exp(1.0)]) / z

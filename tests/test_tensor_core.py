@@ -45,8 +45,6 @@ def test_site_sum_matrix_and_term():
     assert np.array_equal(op.matrix, want)
     assert np.array_equal(op.site_term, term)
     assert not op.site_term.flags.writeable
-    assert not op.hermitian
-    assert site_sum(pauli("x"), 2).hermitian
 
 
 def test_plain_operator_has_no_site_term():
