@@ -3,14 +3,19 @@
 Everything here is written against plain numpy arrays (matmul/kron only, no
 ``numpy.linalg`` solvers): matrix exponential by scaling-and-squaring with a
 truncated Taylor core (matmuls only, no linear solve), Hermitian
-eigendecomposition by one Householder tridiagonalization (its reflectors
-kept, Q formed only when all vectors are wanted) with implicit QL for the
-values and, on request, all vectors, or inverse iteration on the
-tridiagonal form for the ground vector alone (``HermitianSpectrum``, the one
-Hermiticity check; a M + b I of a reduced matrix reuses its reduction),
-general eigenvalues by Hessenberg reduction and shifted QR in place on the
-active block, and a rank-based defectiveness test.  Both reductions take
-their Householder vectors from ``_reflector``.
+eigendecomposition (``HermitianSpectrum``, the one Hermiticity check; a
+M + b I of a reduced matrix reuses its reduction), general eigenvalues by
+Hessenberg reduction and shifted QR in place on the active block, and a
+rank-based defectiveness test.  Both reductions take their Householder
+vectors from ``_reflector``.
+
+A Hermitian matrix is split into its exact direct-sum blocks, the connected
+components of its nonzero pattern (for a spin chain, the sectors of the
+symmetries its Hamiltonian conserves), and reduced to tridiagonal form by
+one Householder reduction confined to those blocks (its reflectors kept, Q
+formed only when all vectors are wanted); implicit QL gives the values and,
+on request, all vectors, and inverse iteration on the tridiagonal form the
+ground vector alone.
 
 The dimensions of interest are small (<= 2**12), so O(n^3) dense kernels with
 vectorized inner loops are the right tool.
@@ -19,6 +24,7 @@ vectorized inner loops are the right tool.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,13 +120,59 @@ def expm_array(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _check_hermitian(a: np.ndarray) -> None:
+def _check_hermitian(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Hermitian matrix to reduce and its Frobenius norm: ``a`` itself
+    when a - a^dag is exactly zero (no copy is needed, as 0.5 (a + a^dag)
+    would equal ``a`` bit for bit), else 0.5 (a + a^dag).  Raises
+    ``ValueError`` when ||a - a^dag|| exceeds 1e-10 ||a||."""
     norm = _frobenius(a)
     dev = _frobenius(a - a.conj().T)
     if dev > 1e-10 * max(norm, 1e-300):
         raise ValueError(
             f"matrix is not Hermitian: ||M - M^dag|| = {dev:.3e} vs ||M|| = {norm:.3e}"
         )
+    if dev == 0.0:
+        return a, norm
+    herm = 0.5 * (a + a.conj().T)
+    return herm, _frobenius(herm)
+
+
+def _sectors(a: np.ndarray) -> tuple[list[int] | None, list[tuple[int, int]]]:
+    """The exact direct-sum blocks of a matrix with a symmetric nonzero
+    pattern: the connected components of the graph linking i and j where
+    a[i, j] != 0 (no tolerance).
+
+    Returns (perm, blocks): a[perm][:, perm] has component b on the index
+    range ``blocks[b]`` = (start, end).  The components are ordered by
+    their first index and keep their indices ascending, so ``perm`` is
+    ``None`` when that order is the identity (always so for one component).
+    A depth-first search reads one row of the pattern per index it reaches
+    and stops once every index is labelled.
+    """
+    linked = a != 0
+    n = a.shape[0]
+    label = [-1] * n
+    sizes: list[int] = []
+    seen = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        comp = len(sizes)
+        label[start] = comp
+        stack, size = [start], 1
+        while stack and seen + size < n:
+            for j in linked[stack.pop()].nonzero()[0].tolist():
+                if label[j] < 0:
+                    label[j] = comp
+                    stack.append(j)
+                    size += 1
+        sizes.append(size)
+        seen += size
+        if seen == n:
+            break
+    bounds = [0, *itertools.accumulate(sizes)]
+    perm = sorted(range(n), key=label.__getitem__)
+    return (None if perm == list(range(n)) else perm), list(zip(bounds, bounds[1:]))
 
 
 def _reflector(x: np.ndarray, out: np.ndarray, tiny: float):
@@ -142,44 +194,51 @@ def _reflector(x: np.ndarray, out: np.ndarray, tiny: float):
     return beta
 
 
-def _tridiagonalize(a: np.ndarray, fro: float):
-    """Reduce Hermitian a to real symmetric tridiagonal form T = Q^dag a Q.
+def _tridiagonalize(a: np.ndarray, fro: float, blocks):
+    """Reduce Hermitian a, in place, to real symmetric tridiagonal form
+    T = Q^dag a Q.
 
-    Returns (diag, offdiag, reflectors, phases) with Q = H_0 H_1 ... diag(phases):
-    each (k, v) of ``reflectors`` is H = I - 2 v v^dag on the indices k+1
-    onward.  Q itself is never formed here: ``_form_q`` builds it, and
+    ``blocks`` are the (start, end) index ranges of a's exact direct-sum
+    blocks (``_sectors``): every entry outside them is zero.  Householder
+    step k touches only the rows and columns from k + 1 to the end of k's
+    block, and a step with fewer than two entries below the diagonal of
+    its block is skipped, so the cost is sum_b n_b^3, not n^3, and T keeps
+    exact zeros at the block boundaries.  Returns (diag, offdiag,
+    reflectors, phases) with Q = H_0 H_1 ... diag(phases): each (k, v) of
+    ``reflectors`` is H = I - 2 v v^dag on the indices k + 1 to
+    k + v.size.  Q itself is never formed here: ``_form_q`` builds it, and
     ``_apply_q`` applies it to one vector in O(n^2).  ``fro`` is the
     Frobenius norm of a.
     """
-    a = a.copy()
     n = a.shape[0]
     reflectors = []
-    # Every reflector is a view into one store, the vector of step k at
-    # offset sum_{j < k} (n - 1 - j).
+    # Every reflector is a view into one store, each at the offset where
+    # the one before it ends.
     store = np.empty(n * (n - 1) // 2, dtype=complex)
     start = 0
     tiny = 1e3 * _EPS * max(1.0, fro) / max(n, 1)
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        v = store[start : start + x.size]
-        start += x.size
-        beta = _reflector(x, v, tiny)
-        if beta is None:
-            a[k + 1 :, k] = 0.0
-            a[k, k + 1 :] = 0.0
-            continue
-        # Two-sided reflection P B P on the trailing block, P = I - 2 v v^dag:
-        # with w = B v, tau = v^dag w and u = 2 w - 2 tau v, that is the
-        # rank-two update B - v u^dag - u v^dag.
-        block = a[k + 1 :, k + 1 :]
-        w = block @ v
-        tau = float(np.real(v.conj() @ w))
-        u = 2.0 * w - (2.0 * tau) * v
-        block -= np.outer(v, u.conj()) + np.outer(u, v.conj())
-        a[k + 1, k] = beta
-        a[k + 2 :, k] = 0.0
-        a[k, k + 1 :] = np.conj(a[k + 1 :, k])
-        reflectors.append((k, v))
+    for first, end in blocks:
+        for k in range(first, end - 2):
+            x = a[k + 1 : end, k]
+            v = store[start : start + x.size]
+            start += x.size
+            beta = _reflector(x, v, tiny)
+            if beta is None:
+                a[k + 1 : end, k] = 0.0
+                a[k, k + 1 : end] = 0.0
+                continue
+            # Two-sided reflection P B P on the trailing block, P = I - 2 v v^dag:
+            # with w = B v, tau = v^dag w and u = 2 w - 2 tau v, that is the
+            # rank-two update B - v u^dag - u v^dag.
+            block = a[k + 1 : end, k + 1 : end]
+            w = block @ v
+            tau = float(np.real(v.conj() @ w))
+            u = 2.0 * w - (2.0 * tau) * v
+            block -= np.outer(v, u.conj()) + np.outer(u, v.conj())
+            a[k + 1, k] = beta
+            a[k + 2 : end, k] = 0.0
+            a[k, k + 1 : end] = np.conj(a[k + 1 : end, k])
+            reflectors.append((k, v))
     diag = np.real(np.diag(a)).copy()
     off = np.diag(a, -1).copy() if n > 1 else np.zeros(0, dtype=complex)
     # Phase-rotate so the sub-diagonal becomes real non-negative.
@@ -197,7 +256,8 @@ def _form_q(reflectors, phases) -> np.ndarray:
     """Q = H_0 H_1 ... diag(phases) as a dense matrix."""
     q = np.eye(phases.size, dtype=complex)
     for k, v in reflectors:
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+        cols = q[:, k + 1 : k + 1 + v.size]
+        cols -= 2.0 * np.outer(cols @ v, v.conj())
     return q * phases[None, :]
 
 
@@ -205,7 +265,7 @@ def _apply_q(reflectors, phases, x) -> np.ndarray:
     """Q x for one real vector x, the reflectors applied last to first."""
     y = phases * np.asarray(x)
     for k, v in reversed(reflectors):
-        tail = y[k + 1 :]
+        tail = y[k + 1 : k + 1 + v.size]
         tail -= (2.0 * (v.conj() @ tail)) * v
     return y
 
@@ -349,13 +409,19 @@ class HermitianSpectrum:
     """The spectrum of one Hermitian matrix, from one Householder reduction
     to a real tridiagonal T.
 
-    ``values`` (ascending) come from the QL iteration on T without vectors
-    and are computed on construction.  ``ground``, the eigenvector of
-    ``values[0]`` by inverse iteration on T and the stored reflectors
-    (O(n^2) past the reduction), and ``vectors``, all eigenvectors by the
-    rotation-accumulating QL on the same T, are each computed on first read
-    and kept.  Every array is read-only.  Raises ``ValueError`` for a matrix
-    that is not numerically Hermitian.
+    The matrix is first split into its exact direct-sum blocks
+    (``_sectors``: the connected components of its nonzero pattern, such as
+    the parity or magnetization sectors of a spin chain) and permuted so
+    each block is contiguous; the reduction stays inside the blocks, so it
+    costs sum_b n_b^3 rather than n^3.  A one-block matrix keeps the
+    identity permutation and is reduced as a whole.  ``values`` (ascending)
+    come from the QL iteration on T without vectors and are computed on
+    construction.  ``ground``, the eigenvector of ``values[0]`` by inverse
+    iteration on T and the stored reflectors (O(n^2) past the reduction),
+    and ``vectors``, all eigenvectors by the rotation-accumulating QL on the
+    same T, are each computed on first read, scattered back through the
+    permutation, and kept.  Every array is read-only.  Raises
+    ``ValueError`` for a matrix that is not numerically Hermitian.
 
     ``_affine(a, b)`` is the spectrum of a M + b I, a > 0, without a second
     reduction: its ``_source`` is the spectrum that was reduced, whose
@@ -364,12 +430,15 @@ class HermitianSpectrum:
     """
 
     def __init__(self, m):
-        a = _as_matrix(m)
-        _check_hermitian(a)
-        herm = 0.5 * (a + a.conj().T)
-        fro = _frobenius(herm)
+        herm, fro = _check_hermitian(_as_matrix(m))
+        perm, blocks = _sectors(herm)
+        # The inverse permutation takes a vector of the permuted matrix back.
+        self._unperm = None if perm is None else np.argsort(perm)
+        work = herm.copy() if perm is None else herm[np.ix_(perm, perm)]
         self._off_tol = _EIG_OFFDIAG_TOL * fro
-        self._diag, self._off, self._reflectors, self._phases = _tridiagonalize(herm, fro)
+        self._diag, self._off, self._reflectors, self._phases = _tridiagonalize(
+            work, fro, blocks
+        )
         vals, _ = _ql_implicit(self._diag, self._off, None, self._off_tol)
         self._order = np.argsort(vals, kind="stable")
         self.values = _frozen(vals[self._order])
@@ -389,7 +458,8 @@ class HermitianSpectrum:
         if self._source is not None:
             return self._source.ground
         x = _inverse_iteration(self._diag, self._off, float(self.values[0]), self._off_tol)
-        return _frozen(_apply_q(self._reflectors, self._phases, x))
+        y = _apply_q(self._reflectors, self._phases, x)
+        return _frozen(y if self._unperm is None else y[self._unperm])
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -397,7 +467,8 @@ class HermitianSpectrum:
             return self._source.vectors
         q = _form_q(self._reflectors, self._phases)
         _, q = _ql_implicit(self._diag, self._off, q, self._off_tol)
-        return _frozen(q[:, self._order])
+        rows = slice(None) if self._unperm is None else self._unperm[:, None]
+        return _frozen(q[rows, self._order])
 
 
 def hermitian_eig(m, compute_vectors: bool = True) -> EigenDecomposition:

@@ -51,7 +51,9 @@ class Operator:
     ``spectrum`` is the ``HermitianSpectrum`` of ``matrix``, built on first
     use and then kept, so a battery is reduced to tridiagonal form once
     however many states and traces read it.  Building it computes the
-    reduction and the ascending ``values``, and nothing more; its ``ground``
+    reduction, confined to the matrix's exact direct-sum blocks (the parity
+    sectors of an XYZ battery, and the magnetization sectors too when
+    gamma = 0), and the ascending ``values``, and nothing more; its ``ground``
     vector (inverse iteration, for ground states) and its ``vectors`` (the
     full QL, for Gibbs states) are each computed on first read and kept.
     ``normalize_spectrum`` hands its result the raw battery's spectrum

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +9,7 @@ from qbattery.dense_linalg import (
     HermitianSpectrum,
     _inverse_iteration,
     _reflector,
+    _sectors,
     expm_array,
     general_eigenvalues,
     hermitian_eig,
@@ -23,6 +26,7 @@ from qbattery.model_builders import (
     normalize_spectrum,
 )
 from qbattery.state_prep import ground_state
+from qbattery.tensor_core import Operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -284,6 +288,116 @@ def test_reflector_maps_x_onto_beta_e0(parts):
     assert np.max(np.abs(x - 2.0 * np.vdot(out, x) * out - beta * e0)) <= 1e-14 * xnorm
     # beta has the phase opposite to x_0, so v_0 = x_0 - beta cancels nothing
     assert abs(beta * np.conj(x[0]) + xnorm * abs(x[0])) <= 1e-14 * xnorm * abs(x[0])
+
+
+# --- reduction by exact direct-sum blocks ------------------------------------
+
+
+def hidden_direct_sum(sizes, seed, shared):
+    """Random Hermitian blocks of the given sizes, each exactly Hermitian
+    with levels in [-1, 1], assembled as a direct sum and hidden by a random
+    basis permutation.  With ``shared`` every block has -0.9 and 0.5 among
+    its levels, so blocks share eigenvalues and the ground level is tied
+    across blocks.  Returns the matrix and its hidden permutation."""
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for b in sizes:
+        levels = rng.uniform(-1.0, 1.0, b)
+        if shared:
+            levels[: min(b, 2)] = [-0.9, 0.5][: min(b, 2)]
+        u, _ = np.linalg.qr(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+        block = (u * levels) @ u.conj().T
+        m[start : start + b, start : start + b] = 0.5 * (block + block.conj().T)
+        start += b
+    perm = rng.permutation(d)
+    return m[np.ix_(perm, perm)], perm
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+    shared=st.booleans(),
+)
+@example(sizes=[1], seed=0, shared=False)
+@example(sizes=[1, 2, 1, 2], seed=1, shared=True)
+@example(sizes=[2, 12, 1], seed=2, shared=False)
+@example(sizes=[12, 12], seed=3, shared=True)
+def test_hidden_direct_sum_is_split_and_solved(sizes, seed, shared):
+    m, hidden = hidden_direct_sum(sizes, seed, shared)
+    d = m.shape[0]
+    perm, blocks = _sectors(m)
+    assert sorted(e - s for s, e in blocks) == sorted(sizes)
+    # Each block found is one block of the direct sum.
+    block_of = np.repeat(np.arange(len(sizes)), sizes)[hidden]
+    order = np.arange(d) if perm is None else np.array(perm)
+    for s, e in blocks:
+        assert np.unique(block_of[order[s:e]]).size == 1
+    norm = np.linalg.norm(m)
+    vals = np.linalg.eigvalsh(m)
+    spec = HermitianSpectrum(m)
+    assert np.max(np.abs(spec.values - vals)) <= 1e-13 * norm
+    x = spec.vectors
+    assert np.max(np.abs(x.conj().T @ x - np.eye(d))) <= 1e-12
+    assert np.max(np.abs(m @ x - x * spec.values)) <= 1e-12 * max(norm, 1.0)
+    if d > 1 and vals[1] - vals[0] >= 1e-4:
+        assert_ground_matches_eigh(m)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_anisotropic_battery_splits_by_parity(n, boundary):
+    spec = BatterySpec(J=1.1, gamma=0.4, delta=-0.5, h=1.0, n_sites=n, boundary=boundary)
+    perm, blocks = _sectors(build_battery_xyz(spec).matrix)
+    assert blocks == [(0, 2 ** (n - 1)), (2 ** (n - 1), 2**n)]
+    parity = [bin(i).count("1") % 2 for i in perm]
+    assert parity == [0] * 2 ** (n - 1) + [1] * 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.7])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_xx_battery_splits_by_magnetization(n, boundary, delta):
+    spec = BatterySpec(J=1.0, gamma=0.0, delta=delta, h=1.0, n_sites=n, boundary=boundary)
+    perm, blocks = _sectors(build_battery_xyz(spec).matrix)
+    assert [e - s for s, e in blocks] == [math.comb(n, k) for k in range(n + 1)]
+    order = list(range(2**n)) if perm is None else perm
+    ups = [bin(i).count("1") for i in order]
+    assert ups == sorted(ups)
+
+
+def test_one_component_matrix_keeps_identity_permutation():
+    rng = np.random.default_rng(41)
+    dense = random_complex(rng, 64)
+    for m in (build_noninteracting_battery(6).matrix, dense + dense.conj().T):
+        perm, blocks = _sectors(m)
+        assert perm is None and blocks == [(0, 64)]
+
+
+def test_tie_across_sectors_is_a_degenerate_ground_state():
+    # The same block twice, hidden by a permutation: the lowest levels of
+    # two sectors tie although neither sector is degenerate on its own.
+    block, _ = hidden_direct_sum([4], 5, False)
+    m = np.zeros((8, 8), dtype=complex)
+    m[:4, :4] = m[4:, 4:] = block
+    perm = np.random.default_rng(6).permutation(8)
+    m = m[np.ix_(perm, perm)]
+    assert len(_sectors(m)[1]) == 2
+    with pytest.raises(DegenerateGroundStateError):
+        ground_state(Operator(m, n_sites=3))
+
+
+def test_nearly_hermitian_input_is_reduced_as_its_hermitian_part():
+    rng = np.random.default_rng(42)
+    m = random_complex(rng, 10)
+    m = m + m.conj().T
+    skewed = m + 1e-13 * random_complex(rng, 10)
+    got = HermitianSpectrum(skewed)
+    want = HermitianSpectrum(0.5 * (skewed + skewed.conj().T))
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.ground, want.ground)
 
 
 # --- general eigenvalues -----------------------------------------------------

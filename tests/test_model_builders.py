@@ -250,7 +250,7 @@ def test_rt_charger_hand_expansion():
     assert np.max(np.abs(h - h.conj().T)) > 0.1  # genuinely non-Hermitian
 
 
-def test_rt_hermitian_charger_flag_and_matrix():
+def test_rt_hermitian_charger_is_hermitian():
     spec = ChargerSpec(kind=RT_HERMITIAN, n_sites=2, gamma_prime=0.8, J=1.0, h_prime=0.5)
     op = build_rt_charger(spec)
     assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-15
