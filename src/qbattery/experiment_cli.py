@@ -455,23 +455,6 @@ def emit_outputs(result: SweepResult, path: str, plot: bool = False) -> None:
             raise RuntimeError(f"failed to write plot script to {script_path}: {exc}") from exc
 
 
-def read_csv(path: str):
-    """Parse a sweep CSV back into (metadata, names, rows of strings)."""
-    metadata: dict[str, str] = {}
-    body: list[str] = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition(":")
-                if sep:
-                    metadata[key.strip()] = value.strip()
-            else:
-                body.append(line)
-    records = [fields for fields in csv.reader(body) if fields]
-    names = records[0] if records else []
-    return metadata, names, records[1:]
-
-
 def _plot_script(result: SweepResult, csv_name: str) -> str:
     n_params = len(result.param_names)
     range_names = [k[6:] for k in result.metadata if k.startswith("range_")]

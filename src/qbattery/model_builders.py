@@ -19,7 +19,7 @@ import numpy as np
 
 from .dense_linalg import REAL_SPECTRUM_TOL, general_eigenvalues
 from .errors import DegenerateSpectrumError
-from .tensor_core import Operator, bond_pairs, max_sites, pauli, site_product, site_sum
+from .tensor_core import Operator, _assemble, bond_pairs, max_sites, pauli, site_sum
 
 PT = "pt"
 PT_HERMITIAN = "pt_hermitian"
@@ -86,22 +86,13 @@ class ChargerSpec:
                 raise ValueError("RT charger needs n_sites >= 2")
 
 
-def _bond_sum(axis_a: str, axis_b: str, n: int, boundary: str) -> np.ndarray:
-    a = pauli(axis_a).matrix
-    b = pauli(axis_b).matrix
-    return sum(site_product({r: a, s: b}, n) for r, s in bond_pairs(n, boundary))
-
-
 def _xy_chain(J: float, aniso: complex, delta: float, h: float, n: int, boundary: str) -> np.ndarray:
     """(J/4) sum [(1+a) XX + (1-a) YY] + (delta/4) sum ZZ + (h/2) sum Z over
-    the bonds of an n-site chain, with anisotropy a = ``aniso``; the ZZ sum
-    is built only when delta != 0."""
-    xx = _bond_sum("x", "x", n, boundary)
-    yy = _bond_sum("y", "y", n, boundary)
-    h_mat = 0.25 * J * ((1.0 + aniso) * xx + (1.0 - aniso) * yy)
-    if delta != 0.0:
-        h_mat = h_mat + 0.25 * delta * _bond_sum("z", "z", n, boundary)
-    return h_mat + 0.5 * h * site_sum(pauli("z"), n).matrix
+    the bonds of an n-site chain, with anisotropy a = ``aniso``.  On a bond's
+    flip the element is (J/4) ((1+a) + (1-a) yy), with YY's element
+    yy = -z_r z_s: -1 on aligned spins, +1 on opposed ones."""
+    xy = [0.25 * J * ((1.0 + aniso) + (1.0 - aniso) * yy) for yy in (-1.0, 1.0)]
+    return _assemble(n, bonds=bond_pairs(n, boundary), xy=xy, zz=0.25 * delta, z=0.5 * h)
 
 
 def build_battery_xyz(spec: BatterySpec) -> Operator:

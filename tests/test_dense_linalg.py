@@ -6,8 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbattery.dense_linalg import (
+    _EPS,
     HermitianSpectrum,
+    _check_hermitian,
+    _form_q,
+    _frobenius,
     _inverse_iteration,
+    _ql_implicit,
     _reflector,
     _sectors,
     expm_array,
@@ -398,6 +403,95 @@ def test_nearly_hermitian_input_is_reduced_as_its_hermitian_part():
     want = HermitianSpectrum(0.5 * (skewed + skewed.conj().T))
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.ground, want.ground)
+
+
+def test_check_hermitian_returns_an_exactly_hermitian_matrix_itself():
+    a = build_battery_xyz(BatterySpec(J=1.1, gamma=0.4, delta=-0.5, h=1.0, n_sites=4)).matrix
+    herm, fro = _check_hermitian(a)
+    assert herm is a and fro == _frobenius(a)
+    b = a.copy()
+    b[0, 1] += 1e-13
+    herm, fro = _check_hermitian(b)
+    assert np.array_equal(herm, 0.5 * (b + b.conj().T)) and fro == _frobenius(herm)
+
+
+def ql_with_relative_test(diag, off, q, off_tol):
+    """``_ql_implicit`` as it was with LAPACK's relative deflation test
+    eps (|d_m| + |d_m+1|) beside off_tol."""
+    n = diag.size
+    d = diag.tolist()
+    e = off.tolist() + [0.0]
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) <= max(off_tol, _EPS * dd):
+                    break
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            denom = g + (math.copysign(r, g) if g != 0.0 else r)
+            g = d[m] - d[l] + e[l] / denom
+            s = c = 1.0
+            p = 0.0
+            rot = np.eye(m - l + 1) if q is not None else None
+            broke = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    broke = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if rot is not None:
+                    j = i - l
+                    col_i = rot[:, j].copy()
+                    col_n = rot[:, j + 1]
+                    rot[:, j] = c * col_i - s * col_n
+                    rot[:, j + 1] = s * col_i + c * col_n
+            if rot is not None:
+                q[:, l : m + 1] = q[:, l : m + 1] @ rot
+            if broke:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return np.array(d), q
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ql_deflation_by_off_tol_alone_is_bitwise_unchanged(n):
+    # Every |d_i| <= ||A||_F, so eps (|d_m| + |d_m+1|) <= 4.5e-16 ||A||_F
+    # never exceeds off_tol = 1e-13 ||A||_F and the relative test never
+    # deflates: values and accumulated vectors come out bit for bit the same.
+    rng = np.random.default_rng(n)
+    ops = [
+        build_battery_xyz(BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=n, boundary="open")),
+        build_battery_xyz(BatterySpec(J=-1.3, gamma=0.45, delta=0.7, h=0.6, n_sites=n)),
+        build_battery_xyz(BatterySpec(J=0.8, gamma=0.0, delta=-1.2, h=-0.3, n_sites=n)),
+        build_noninteracting_battery(n),
+    ]
+    for op in ops:
+        spec = HermitianSpectrum(op)
+        args = (spec._diag, spec._off)
+        assert np.array_equal(_ql_implicit(*args, None, spec._off_tol)[0], ql_with_relative_test(*args, None, spec._off_tol)[0])
+        if n <= 6:
+            new = _ql_implicit(*args, _form_q(spec._reflectors, spec._phases), spec._off_tol)
+            old = ql_with_relative_test(*args, _form_q(spec._reflectors, spec._phases), spec._off_tol)
+            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
 # --- general eigenvalues -----------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -23,7 +24,6 @@ from qbattery.experiment_cli import (
     load_config,
     main,
     parse_config_text,
-    read_csv,
     run_experiment,
     run_oracle_check,
 )
@@ -43,6 +43,23 @@ from qbattery.model_builders import (
 from qbattery.state_prep import ground_state
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def read_csv(path: str):
+    """Parse a sweep CSV back into (metadata, names, rows of strings)."""
+    metadata: dict[str, str] = {}
+    body: list[str] = []
+    with open(path, newline="") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, sep, value = line[1:].strip().partition(":")
+                if sep:
+                    metadata[key.strip()] = value.strip()
+            else:
+                body.append(line)
+    records = [fields for fields in csv.reader(body) if fields]
+    names = records[0] if records else []
+    return metadata, names, records[1:]
 
 
 def small_map_config(**overrides):
@@ -277,7 +294,7 @@ def test_run_experiment_row_order_and_positivity():
     assert "wall_time_s" in res.metadata
 
 
-def test_run_experiment_degen_rows():
+def test_run_experiment_degen_rows(tmp_path):
     # J = 2h exactly has a degenerate ground state: flagged, not fatal
     cfg = SweepConfig(
         experiment="fig_pmax_vs_J",
@@ -289,8 +306,8 @@ def test_run_experiment_degen_rows():
     res = run_experiment(cfg)
     assert res.rows[0][1] is not None
     assert res.rows[1][1] is None  # J = 2.0 row flagged
-    emit_outputs(res, "/tmp/qb_degen_test.csv")
-    _, _, rows = read_csv("/tmp/qb_degen_test.csv")
+    emit_outputs(res, str(tmp_path / "degen.csv"))
+    _, _, rows = read_csv(str(tmp_path / "degen.csv"))
     assert rows[1][1] == DEGEN_MARKER
 
 

@@ -416,3 +416,92 @@ def test_chain_cap_rejects_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def kron_sites(factors, n):
+    return reduce(np.kron, [factors.get(r, np.eye(2, dtype=complex)) for r in range(n)])
+
+
+def kron_sums(n, boundary):
+    """XX, YY and ZZ bond sums and the Z field of an n-site chain, each a
+    sum of Kronecker products."""
+    bonds = [(r, r + 1) for r in range(n - 1)]
+    if boundary == "periodic" and n > 2:
+        bonds.append((n - 1, 0))
+    xx, yy, zz = (sum(kron_sites({r: p, s: p}, n) for r, s in bonds) for p in (SX, SY, SZ))
+    return xx, yy, zz, sum(kron_sites({r: SZ}, n) for r in range(n))
+
+
+# (J, gamma, delta, h): gamma and delta zero and nonzero, J and h of both signs
+XYZ_SETS = [
+    (0.7, 0.3, -0.4, 1.3),
+    (-1.1, 0.0, 0.0, -0.6),
+    (0.9, 0.0, 0.37, 1.0),
+    (-0.45, 0.61, 0.0, -1.7),
+    (1.234567, -0.987, -1.3333, 0.1),
+]
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bit_assembly_equals_kronecker_sums(n, boundary):
+    # Bitwise, in the Kronecker sums' floating-point order: (J/4) applied to
+    # (1+a) XX + (1-a) YY, and the ZZ and Z sums formed over integers and
+    # scaled once.
+    xx, yy, zz, z = kron_sums(n, boundary)
+    for J, g, d, h in XYZ_SETS:
+        spec = BatterySpec(J=J, gamma=g, delta=d, h=h, n_sites=n, boundary=boundary)
+        want = 0.25 * J * ((1.0 + g) * xx + (1.0 - g) * yy) + 0.25 * d * zz + 0.5 * h * z
+        assert np.array_equal(build_battery_xyz(spec).matrix, want), (J, g, d, h)
+    if boundary == "open":
+        return
+    for kind in (RT, RT_HERMITIAN):
+        for gp, J, hp in [(0.8, 1.1, 0.5), (1.2, -0.7, -0.2)]:
+            aniso = 1j * gp if kind == RT else gp
+            want = 0.25 * J * ((1.0 + aniso) * xx + (1.0 - aniso) * yy) + 0.5 * hp * z
+            spec = ChargerSpec(kind=kind, n_sites=n, gamma_prime=gp, J=J, h_prime=hp)
+            assert np.array_equal(build_charger(spec).matrix, want), (kind, gp, J)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_per_site_builders_equal_kronecker_sums(n):
+    cases = [
+        (build_pt_charger(1.1, n), SX + 1j * np.sin(1.1) * SZ),
+        (build_pt_hermitian_charger(-0.7, n), SX + np.sin(-0.7) * SZ),
+        (build_noninteracting_battery(n), SX),
+    ]
+    for op, term in cases:
+        assert np.array_equal(op.matrix, sum(kron_sites({r: term}, n) for r in range(n)))
+
+
+def test_every_builder_checks_the_cap(monkeypatch):
+    battery = BatterySpec(J=1.0, gamma=0.3, delta=0.2, h=1.0, n_sites=4)
+    rt = ChargerSpec(kind=RT, n_sites=4, gamma_prime=0.8, J=1.0, h_prime=0.5)
+    rt_h = ChargerSpec(kind=RT_HERMITIAN, n_sites=4, gamma_prime=0.8, J=1.0, h_prime=0.5)
+    builds = [
+        lambda: build_battery_xyz(battery),
+        lambda: build_noninteracting_battery(4),
+        lambda: build_pt_charger(0.3, 4),
+        lambda: build_pt_hermitian_charger(0.3, 4),
+        lambda: build_rt_charger(rt),
+        lambda: build_charger(rt_h),
+        lambda: embed_site(pauli("x"), 0, 4),
+    ]
+    for build in builds:
+        build()
+    monkeypatch.setenv("QBATTERY_MAX_SITES", "3")
+    for build in builds:
+        with pytest.raises(ValueError, match="outside the allowed range"):
+            build()
+
+
+def test_assembly_memory_is_the_output():
+    # No d x d temporaries: at N = 10 the output is 16 MB.
+    spec = BatterySpec(J=1.1, gamma=0.4, delta=-0.5, h=1.0, n_sites=10)
+    tracemalloc.start()
+    try:
+        build_battery_xyz(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * 2**20

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qbattery.tensor_core import (
     Operator,
+    _assemble,
     bond_pairs,
     embed_site,
     max_sites,
     pauli,
-    site_product,
     site_sum,
 )
 
@@ -116,58 +116,79 @@ def test_bond_pairs_unique():
     assert bond_pairs(5, "open") == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
+def kron_sites(factors, n):
+    """The Kronecker product of ``factors[r]`` at site r and the identity
+    elsewhere, site 0 leftmost."""
+    return reduce(np.kron, [factors.get(r, np.eye(2, dtype=complex)) for r in range(n)])
+
+
+# A bond term is one flip with element xy[0] on aligned and xy[1] on opposed
+# spins (YY's element is -z_r z_s times XX's), or the ZZ diagonal.
+BOND_TERMS = {
+    "x": (SX, {"xy": (1.0, 1.0)}),
+    "y": (SY, {"xy": (-1.0, 1.0)}),
+    "z": (SZ, {"zz": 1.0}),
+}
+
+
 def test_site_product_places_factors_left_to_right():
-    assert np.array_equal(site_product({}, 3), np.eye(8))
-    assert np.array_equal(site_product({0: SX, 2: SZ}, 3), np.kron(np.kron(SX, np.eye(2)), SZ))
-    assert np.array_equal(site_product({2: SZ, 0: SX}, 3), site_product({0: SX, 2: SZ}, 3))
+    # site 0 is the most significant bit of the basis index
+    assert np.array_equal(embed_site(pauli("identity"), 2, 3).matrix, np.eye(8))
+    assert np.array_equal(embed_site(pauli("x"), 0, 3).matrix, np.kron(np.kron(SX, np.eye(2)), np.eye(2)))
+    assert np.array_equal(embed_site(pauli("z"), 2, 3).matrix, np.kron(np.eye(4), SZ))
+    assert np.array_equal(_assemble(3, bonds=[(0, 2)], xy=(1.0, 1.0)), np.kron(np.kron(SX, np.eye(2)), SX))
+    assert np.array_equal(_assemble(3, bonds=[(2, 0)], zz=1.0), np.kron(np.kron(SZ, np.eye(2)), SZ))
+    assert np.array_equal(_assemble(3, z=1.0), site_sum(pauli("z"), 3).matrix)
 
 
 def test_site_product_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
-        site_product({0: SX}, 0)
+        _assemble(0, SX, (0,))
     with pytest.raises(ValueError):
-        site_product({3: SX}, 3)
+        embed_site(Operator(SX, n_sites=1), 0, 0)
     with pytest.raises(ValueError):
-        site_product({0: np.eye(4)}, 3)
+        _assemble(3, SX, (3,))
+    with pytest.raises(ValueError):
+        _assemble(3, bonds=[(0, 3)], xy=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        _assemble(3, np.eye(4), (0,))
     monkeypatch.setenv("QBATTERY_MAX_SITES", "3")
     with pytest.raises(ValueError):
-        site_product({}, 4)
-
-
-_complex_2x2 = st.lists(
-    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-    min_size=4,
-    max_size=4,
-).map(lambda v: np.array(v, dtype=complex).reshape(2, 2))
+        _assemble(4)
+    with pytest.raises(ValueError):
+        site_sum(pauli("x"), 4)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    a=_complex_2x2,
-    b=_complex_2x2,
+    axes=st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz")),
     sites=st.integers(2, 6).flatmap(
         lambda n: st.tuples(st.just(n), st.permutations(range(n)).map(lambda p: p[:2]))
     ),
 )
-def test_site_product_of_two_sites_is_the_product_of_embeddings(a, b, sites):
+def test_site_product_of_two_sites_is_the_product_of_embeddings(axes, sites):
+    # The assembled XX, YY and ZZ bond terms equal the product of the two
+    # embeddings; each row of an embedding has one nonzero, so the matmul
+    # is exact.  A product of two different axes must equal neither term.
     n, (r, s) = sites
-    # The embeddings commute, so the product is taken left site first, and
-    # summed elementwise: with fused multiply-adds neither a BLAS matmul nor
-    # a complex product with swapped operands rounds identically.
-    if r > s:
-        (r, a), (s, b) = (s, b), (r, a)
-    ea, eb = site_product({r: a}, n), site_product({s: b}, n)
-    want = (ea[:, :, None] * eb[None, :, :]).sum(axis=1)
-    assert np.array_equal(site_product({r: a, s: b}, n), want)
+    a, b = axes
+    ea = embed_site(pauli(a), r, n).matrix
+    eb = embed_site(pauli(b), s, n).matrix
+    assert np.array_equal(ea @ eb, kron_sites({r: BOND_TERMS[a][0], s: BOND_TERMS[b][0]}, n))
+    assembled = _assemble(n, bonds=[(r, s)], **BOND_TERMS[a][1])
+    assert np.array_equal(assembled, ea @ eb) == (a == b)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_site_product_equals_numpy_kron(n):
-    # The broadcast product forms exactly numpy.kron's products, so the two
-    # agree bitwise, with a factor at every site and with identities between.
+    # A general (non-Hermitian) 2x2 term at one site and at every site,
+    # against numpy.kron, bitwise: each entry is one product of the term's
+    # entries with ones, and the diagonal of the sum is added in site order.
     rng = np.random.default_rng(n)
-    factors = {r: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for r in range(n)}
-    assert np.array_equal(site_product(factors, n), reduce(np.kron, factors.values()))
-    sparse = {r: f for r, f in factors.items() if r % 2 == 0}
-    want = reduce(np.kron, [sparse.get(r, np.eye(2, dtype=complex)) for r in range(n)])
-    assert np.array_equal(site_product(sparse, n), want)
+    term = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for r in range(n):
+        assert np.array_equal(embed_site(Operator(term, n_sites=1), r, n).matrix, kron_sites({r: term}, n))
+    want = sum(kron_sites({r: term}, n) for r in range(n))
+    assert np.array_equal(site_sum(Operator(term, n_sites=1), n).matrix, want)
+    for axis in ("x", "y", "z"):
+        assert np.array_equal(site_sum(pauli(axis), n).matrix, sum(kron_sites({r: pauli(axis).matrix}, n) for r in range(n)))
