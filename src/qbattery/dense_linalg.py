@@ -346,9 +346,8 @@ def _ql_implicit(diag, off, q, off_tol):
     for l in range(n):
         iters = 0
         while True:
-            # No relative test eps (|d_m| + |d_m+1|) beside off_tol: the
-            # rotations keep every |d_i| <= ||T||_2 <= ||A||_F, so that test
-            # stays below 4.5e-16 ||A||_F, under off_tol = 1e-13 ||A||_F.
+            # No relative test eps (|d_m| + |d_m+1|): every |d_i| <= ||A||_F,
+            # so it stays below 4.5e-16 ||A||_F < off_tol = 1e-13 ||A||_F.
             m = l
             while m < n - 1 and abs(e[m]) > off_tol:
                 m += 1

@@ -88,9 +88,8 @@ class ChargerSpec:
 
 def _xy_chain(J: float, aniso: complex, delta: float, h: float, n: int, boundary: str) -> np.ndarray:
     """(J/4) sum [(1+a) XX + (1-a) YY] + (delta/4) sum ZZ + (h/2) sum Z over
-    the bonds of an n-site chain, with anisotropy a = ``aniso``.  On a bond's
-    flip the element is (J/4) ((1+a) + (1-a) yy), with YY's element
-    yy = -z_r z_s: -1 on aligned spins, +1 on opposed ones."""
+    the bonds of an n-site chain, with anisotropy a = ``aniso``; YY's element
+    on a bond's flip is -1 on aligned spins and +1 on opposed ones."""
     xy = [0.25 * J * ((1.0 + aniso) + (1.0 - aniso) * yy) for yy in (-1.0, 1.0)]
     return _assemble(n, bonds=bond_pairs(n, boundary), xy=xy, zz=0.25 * delta, z=0.5 * h)
 

@@ -1,12 +1,9 @@
-"""Many-body spin operators on N qubits.
+"""Many-body spin operators on N qubits, assembled by index arithmetic.
 
 Conventions: site 0 is the leftmost (most significant) tensor factor, so the
 computational basis index of a product state is ``sum(bit_r * 2**(N-1-r))``.
-All operators are dense complex matrices; ``hbar = 1`` throughout.  They are
-assembled by index arithmetic on those bits (one private ``_assemble``), not
-by Kronecker products: a Pauli string flips the bits of its X and Y sites
-and takes a phase from its Y and Z sites (the standard bit representation of
-spin-1/2 basis states; Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4).
+All operators are dense complex matrices; ``hbar = 1`` throughout.  Their
+entries come from those bits (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4).
 """
 
 from __future__ import annotations
@@ -108,22 +105,15 @@ def pauli(axis: str) -> Operator:
 
 
 def _assemble(n, term=None, sites=(), bonds=(), xy=(0.0, 0.0), zz=0.0, z=0.0) -> np.ndarray:
-    """Dense matrix of an ``n``-site spin operator, assembled from the bits of
-    the basis index: site r is bit n - 1 - r of index i, and z_r = 1 - 2 bit.
-
-    The operator is sum_{r in sites} term_r + sum_{(r, s) in bonds} F_rs
-    + zz sum_{(r, s) in bonds} Z_r Z_s + z sum_r Z_r, where F_rs flips bits r
-    and s with element ``xy[0]`` where z_r z_s = 1 and ``xy[1]`` where
-    z_r z_s = -1 (c_x XX + c_y YY is xy = (c_x - c_y, c_x + c_y), as YY's
-    element is -z_r z_s times XX's).  A 2x2 ``term`` at site r gives one
-    diagonal entry and one single-bit flip per index.  Only these entries
-    are written into one zeroed matrix: each off-diagonal entry is a single
-    term, the site terms' diagonal is summed in the order of ``sites``, and
-    the ZZ and Z diagonals are sums of integers scaled once.  So the matrix
-    equals the Kronecker sums it replaces entry for entry.
-
-    Every many-body operator is assembled here, so the chain-length cap is
-    checked here, before anything of size 2**n is allocated.
+    """Dense matrix of sum_{r in sites} term_r + sum_{(r, s) in bonds} F_rs
+    + zz sum_bonds Z_r Z_s + z sum_r Z_r on n sites, with site r at bit
+    n - 1 - r of the basis index and z_r = 1 - 2 bit.  F_rs flips bits r and
+    s, with element ``xy[0]`` on aligned spins and ``xy[1]`` on opposed ones;
+    c_x XX + c_y YY is xy = (c_x - c_y, c_x + c_y), as YY's element is
+    -z_r z_s times XX's.  Only nonzero entries are written into one zeroed
+    matrix; the site terms' diagonal is summed in the order of ``sites``,
+    and ZZ and Z are integer sums scaled once, so the entries are those of
+    the Kronecker sums, bit for bit.  The cap is checked before allocating.
     """
     if n < 1 or n > max_sites():
         raise ValueError(f"n={n} outside the allowed range [1, {max_sites()}]")
@@ -139,8 +129,6 @@ def _assemble(n, term=None, sites=(), bonds=(), xy=(0.0, 0.0), zz=0.0, z=0.0) ->
     out = np.zeros((d, d), dtype=complex)
     flat = out.reshape(-1)
     diag = np.zeros(d, dtype=complex)
-    if sites:
-        term = np.asarray(term, dtype=complex)
     for r in sites:
         diag += term[bit[r], bit[r]]
         if term[0, 1] or term[1, 0]:
