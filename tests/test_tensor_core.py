@@ -169,7 +169,7 @@ def test_site_product_rejects_bad_input(monkeypatch):
 def test_site_product_of_two_sites_is_the_product_of_embeddings(axes, sites):
     # The assembled XX, YY and ZZ bond terms equal the product of the two
     # embeddings; each row of an embedding has one nonzero, so the matmul
-    # is exact.  A product of two different axes must equal neither term.
+    # is exact.  The product of two different axes is not axis a's term.
     n, (r, s) = sites
     a, b = axes
     ea = embed_site(pauli(a), r, n).matrix
