@@ -31,6 +31,7 @@ from .battery_dynamics import (
     evolve_normalized,
     power_trace,
     work,
+    work_and_ergotropy,
 )
 
 __all__ = [
@@ -61,5 +62,6 @@ __all__ = [
     "work",
     "power_trace",
     "ergotropy",
+    "work_and_ergotropy",
     "delta_p_max",
 ]

@@ -9,8 +9,9 @@ on the columns once, and a mixed rho(t) is positive semidefinite by
 construction.  Both chargers of a comparison start from one battery prepared
 once (``_prepare``).
 
-Grid points, single snapshots and the ergotropy traces all go through one
-propagation path with three kernels.  A charger that is a sum of one
+Grid points, single snapshots and the one ergotropy trace
+(``work_and_ergotropy``; a power trace measures work alone) all go through
+one propagation path with three kernels.  A charger that is a sum of one
 identical 2x2 term per site (the local PT charger and its Hermitian twin,
 which carry ``site_term``) propagates as the exact product K(t) = k(t)^(x)N,
 the parallel charger of Campaioli et al., PRL 118, 150601 (2017).  Its site
@@ -79,12 +80,11 @@ GOLDEN_INV2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Time series of work, power and ergotropy plus the located maximum."""
+    """Time series of work and power plus the located maximum."""
 
     times: np.ndarray
     work: np.ndarray
     power: np.ndarray
-    ergotropy: np.ndarray
     t_star: float
     p_max: float
     t_star_at_edge: bool
@@ -347,21 +347,25 @@ def ergotropy(h_b: Operator, rho: QuantumState) -> float:
     return _energy(h_b.matrix, w) - float(_passive_energies(h_b.spectrum.values, w[None])[0])
 
 
+def _expectations(h_mat: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """tr(H W W^dag) of each (d, r) block W of a stack of states."""
+    m, d, r = states.shape
+    cols = states.transpose(0, 2, 1).reshape(m * r, d)
+    expect = np.einsum("ki,ki->k", cols.conj(), cols @ h_mat.T).reshape(m, r).sum(axis=1)
+    worst = float(np.max(np.abs(expect.imag)))
+    if worst > _IM_TOL:
+        raise ConsistencyError(f"work expectation has imaginary residue {worst:.3e}")
+    return expect.real
+
+
 def work_and_ergotropy(
     h_b: Operator, h_charge: Operator, rho0: QuantumState, times
 ) -> tuple[np.ndarray, np.ndarray]:
     """Work and ergotropy of the normalized evolved state at each of ``times``.
 
-    A dense charger's states are chained in short normalized steps; the
-    module docstring gives the measured error.
+    On a ``PowerTrace``'s times its work equals the trace's bit for bit.  The
+    module docstring gives the measured error of a dense charger's steps.
     """
-    return _measure(h_b, h_charge, rho0, times)[:2]
-
-
-def _measure(h_b: Operator, h_charge: Operator, rho0: QuantumState, times, peak=False):
-    """Work and ergotropy at ``times``; with ``peak`` the normalized state
-    just before the first maximum of work/time (None if that is the first);
-    and the initial energy tr(H_B rho0)."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(times < 0):
         raise ValueError("times must be a 1-d array of values >= 0")
@@ -370,28 +374,15 @@ def _measure(h_b: Operator, h_charge: Operator, rho0: QuantumState, times, peak=
         raise ValueError(f"times must be finite, got {bad[0]}")
     if not (h_b.dim == h_charge.dim == rho0.dim):
         raise ValueError("battery, charger and state dimensions differ")
-    h_mat = h_b.matrix
-    levels = h_b.spectrum.values
+    h_mat, levels = h_b.matrix, h_b.spectrum.values
     e_init = _energy(h_mat, rho0.factor)
     work_vals = np.empty(times.size)
     ergo_vals = np.empty(times.size)
-    best, before, last = -np.inf, None, None
     for sl, states in _evolve(h_charge, rho0, times):
-        m, d, r = states.shape
-        cols = states.transpose(0, 2, 1).reshape(m * r, d)
-        expect = np.einsum("ki,ki->k", cols.conj(), cols @ h_mat.T).reshape(m, r).sum(axis=1)
-        worst = float(np.max(np.abs(expect.imag)))
-        if worst > _IM_TOL:
-            raise ConsistencyError(f"work expectation has imaginary residue {worst:.3e}")
-        work_vals[sl] = expect.real - e_init
-        ergo_vals[sl] = expect.real - _passive_energies(levels, states)
-        if peak:
-            power = work_vals[sl] / times[sl]
-            k = int(np.argmax(power))
-            if power[k] > best:
-                best, before = power[k], states[k - 1].copy() if k else last
-            last = states[-1].copy()
-    return work_vals, ergo_vals, before, e_init
+        energy = _expectations(h_mat, states)
+        work_vals[sl] = energy - e_init
+        ergo_vals[sl] = energy - _passive_energies(levels, states)
+    return work_vals, ergo_vals
 
 
 def _antidiagonal_sums(mats: np.ndarray) -> np.ndarray:
@@ -486,22 +477,34 @@ def power_trace(
     t_max: float = 10.0,
     n_grid: int = 2000,
 ) -> PowerTrace:
-    """Work, power and ergotropy on a uniform grid over (0, t_max].
+    """Work and power on a uniform grid over (0, t_max].
 
     The best grid point is refined by golden-section search in its bracketing
-    interval [lo, hi]; ties go to smaller t.  The grid pass also hands over
-    the normalized state at ``lo``; when the best point is the first, lo = 0
+    interval [lo, hi]; ties go to smaller t.  The grid pass also keeps the
+    normalized state at ``lo``; when the best point is the first, lo = 0
     and that state is ``rho0``.  Each refinement point reads a Taylor
     polynomial of its bracket piece (``_bracket_power``).
     ``t_star_at_edge`` flags a grid maximum at t_max, where the true maximum
-    may lie beyond the window.
+    may lie beyond the window.  The ergotropy on the same times is
+    ``work_and_ergotropy(h_b, h_charge, rho0, trace.times)``.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if n_grid < 16:
         raise ValueError(f"n_grid must be >= 16, got {n_grid}")
+    if not (h_b.dim == h_charge.dim == rho0.dim):
+        raise ValueError("battery, charger and state dimensions differ")
     times = t_max * np.arange(1, n_grid + 1) / n_grid
-    work_vals, ergo_vals, seed, e_init = _measure(h_b, h_charge, rho0, times, peak=True)
+    e_init = _energy(h_b.matrix, rho0.factor)
+    work_vals = np.empty(n_grid)
+    best, seed, last = -np.inf, rho0.factor, rho0.factor
+    for sl, states in _evolve(h_charge, rho0, times):
+        work_vals[sl] = _expectations(h_b.matrix, states) - e_init
+        power = work_vals[sl] / times[sl]
+        k = int(np.argmax(power))
+        if power[k] > best:  # keep the state just before the first maximum
+            best, seed = power[k], states[k - 1].copy() if k else last
+        last = states[-1].copy()
 
     power_vals = work_vals / times
     k_star = int(np.argmax(power_vals))
@@ -510,8 +513,6 @@ def power_trace(
 
     lo = float(times[k_star - 1]) if k_star >= 1 else 0.0
     hi = float(times[k_star + 1]) if k_star + 1 < n_grid else float(t_max)
-    if seed is None:
-        seed = rho0.factor
     t_ref, p_ref = _golden_max(_bracket_power(h_b.matrix, h_charge, seed, e_init, lo, hi), lo, hi)
 
     if p_ref > p_grid or (p_ref == p_grid and t_ref < t_grid):
@@ -522,7 +523,6 @@ def power_trace(
         times=times,
         work=work_vals,
         power=power_vals,
-        ergotropy=ergo_vals,
         t_star=t_star,
         p_max=p_max,
         t_star_at_edge=k_star == n_grid - 1,

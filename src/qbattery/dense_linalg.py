@@ -544,7 +544,7 @@ def _qr_step(block: np.ndarray, mu) -> None:
 def general_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a general complex matrix, sorted by (real, imag)."""
     a = _as_matrix(m)
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise NumericRangeError("non-finite input to eigenvalue iteration")
     n = a.shape[0]
     trace_in = complex(np.trace(a))
@@ -622,26 +622,12 @@ def is_defective_at(m, cluster_tol: float) -> bool:
     """True when some eigenvalue cluster has deficient geometric multiplicity."""
     a = _as_matrix(m)
     vals = general_eigenvalues(a)
-    n = vals.size
-    # Group eigenvalues into clusters of pairwise distance < cluster_tol.
-    assigned = [-1] * n
-    clusters: list[list[int]] = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        group = [i]
-        assigned[i] = len(clusters)
-        queue = [i]
-        while queue:
-            p = queue.pop()
-            for j in range(n):
-                if assigned[j] < 0 and abs(vals[p] - vals[j]) < cluster_tol:
-                    assigned[j] = assigned[i]
-                    group.append(j)
-                    queue.append(j)
-        clusters.append(group)
+    # Clusters: the connected components of "closer than cluster_tol".
+    perm, blocks = _sectors(np.abs(vals[:, None] - vals[None, :]) < cluster_tol)
+    order = range(vals.size) if perm is None else perm
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    for group in clusters:
+    for start, end in blocks:
+        group = order[start:end]
         if len(group) < 2:
             continue
         lam = np.mean(vals[group])

@@ -386,9 +386,9 @@ def run_experiment(config: SweepConfig) -> SweepResult:
     meta["n_grid"] = str(config.n_grid)
     if config.experiment == "fig_scaling_N":
         col = len(result.param_names) + result.metric_names.index("p_max_pt")
-        ok = [(r[0], r[col]) for r in result.rows if r[col] is not None and r[col] > 0]
-        if len(ok) >= 3:
-            fit = fit_power_law([int(round(p)) for p, _ in ok], [m for _, m in ok])
+        ok = [(int(round(r[0])), r[col]) for r in result.rows if r[col] is not None and r[col] > 0]
+        if len(ok) >= 3 and len({n for n, _ in ok}) >= 2:
+            fit = fit_power_law([n for n, _ in ok], [m for _, m in ok])
             meta["fit_coefficient"] = f"{fit['coefficient']:.17g}"
             meta["fit_exponent"] = f"{fit['exponent']:.17g}"
             meta["fit_residual"] = f"{fit['residual']:.17g}"

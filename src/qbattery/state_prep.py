@@ -48,9 +48,9 @@ class QuantumState:
                 arr = arr / tr
         else:
             raise ValueError(f"state data must be a vector or a square matrix, got {arr.shape}")
+        arr = np.ascontiguousarray(arr)
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("state entries must be finite")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -80,9 +80,9 @@ class Operator:
             raise ValueError(
                 f"dimension {mat.shape[0]} does not match 2**{self.n_sites}"
             )
+        mat = np.ascontiguousarray(mat)
         if not np.all(np.isfinite(mat.view(float))):
             raise ValueError("operator entries must be finite")
-        mat = np.ascontiguousarray(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

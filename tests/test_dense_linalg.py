@@ -13,6 +13,7 @@ from qbattery.dense_linalg import (
     _frobenius,
     _inverse_iteration,
     _ql_implicit,
+    _rank,
     _reflector,
     _sectors,
     expm_array,
@@ -562,3 +563,68 @@ def test_is_defective_examples():
 def test_is_defective_jordan_block():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     assert is_defective_at(jordan, 1e-8) is True
+
+
+def _pairwise_clusters(vals, tol):
+    """The cluster search is_defective_at ran before it used ``_sectors``:
+    grow each cluster by every eigenvalue closer than tol to a member."""
+    n = vals.size
+    assigned = [-1] * n
+    clusters = []
+    for i in range(n):
+        if assigned[i] >= 0:
+            continue
+        group = [i]
+        assigned[i] = len(clusters)
+        queue = [i]
+        while queue:
+            p = queue.pop()
+            for j in range(n):
+                if assigned[j] < 0 and abs(vals[p] - vals[j]) < tol:
+                    assigned[j] = assigned[i]
+                    group.append(j)
+                    queue.append(j)
+        clusters.append(group)
+    return clusters
+
+
+def _pairwise_is_defective_at(a, tol):
+    vals = general_eigenvalues(a)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    for group in _pairwise_clusters(vals, tol):
+        if len(group) >= 2:
+            rank = _rank(a - np.mean(vals[group]) * np.eye(a.shape[0], dtype=complex), tol * scale)
+            if a.shape[0] - rank < len(group):
+                return True
+    return False
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    jordan=st.lists(st.booleans(), min_size=4, max_size=4),
+    tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+    step=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**16),
+)
+def test_defective_clusters_match_the_pairwise_search(sizes, jordan, tol, step, seed):
+    # Planted clusters: members chained step * tol apart, so a cluster's ends
+    # can be further apart than tol; a Jordan coupling makes it defective.
+    rng = np.random.default_rng(seed)
+    diag, coupled = [], []
+    for c, size in enumerate(sizes):
+        center = c + 1j * rng.uniform(-1.0, 1.0)
+        direction = np.exp(2j * np.pi * rng.uniform())
+        diag += [center + k * step * tol * direction for k in range(size)]
+        coupled += [jordan[c] and k > 0 for k in range(size)]
+    a = np.diag(np.array(diag, dtype=complex))
+    for i in np.flatnonzero(coupled):
+        a[i - 1, i] = 1.0
+    shuffle = rng.permutation(len(diag))
+    a = a[shuffle][:, shuffle]
+    vals = general_eigenvalues(a)
+    perm, blocks = _sectors(np.abs(vals[:, None] - vals[None, :]) < tol)
+    order = list(range(vals.size)) if perm is None else perm
+    got = {frozenset(order[start:end]) for start, end in blocks}
+    assert got == {frozenset(group) for group in _pairwise_clusters(vals, tol)}
+    assert is_defective_at(a, tol) is _pairwise_is_defective_at(a, tol)

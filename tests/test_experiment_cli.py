@@ -510,6 +510,25 @@ def test_cli_overrides(tmp_path):
     assert len(rows) == 2
 
 
+def test_scaling_sweep_with_one_distinct_length_writes_no_fit(tmp_path):
+    # 2 : 2 : 3 gives three rows at N = 2; a power law needs two distinct N.
+    config = tmp_path / "scaling.cfg"
+    config.write_text(
+        "experiment = fig_scaling_N\n"
+        "n_sites = 2 : 2 : 3\n"
+        "alpha = pi/2\n"
+        "j = 1\n"
+        "h = 1\n"
+        "boundary = open\n"
+        "n_grid = 64\n"
+    )
+    out = tmp_path / "scaling.csv"
+    assert main(["run", str(config), "--out", str(out), "--workers", "1"]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert len(rows) == 3
+    assert not [key for key in meta if key.startswith("fit_")]
+
+
 @pytest.mark.parametrize(
     "text,args,message",
     [

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbattery.dense_linalg import general_eigenvalues
+from qbattery.state_prep import QuantumState
 from qbattery.tensor_core import (
     Operator,
     _assemble,
@@ -86,6 +88,18 @@ def test_embeddings_commute_on_distinct_sites():
 def test_embedded_pauli_squares_to_identity(axis, site):
     op = embed_site(pauli(axis), site, 3).matrix
     assert np.max(np.abs(op @ op - np.eye(8))) < 1e-14
+
+
+def test_strided_inputs_are_accepted():
+    # A transposed or sliced complex array cannot be viewed as floats; the
+    # finiteness checks read the complex entries themselves.
+    m = (np.arange(16) + 1j * np.arange(16)).reshape(4, 4)
+    assert np.array_equal(Operator(m.T, n_sites=2).matrix, m.T)
+    assert np.array_equal(general_eigenvalues(m.T), general_eigenvalues(m.T.copy()))
+    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex).T
+    assert np.array_equal(QuantumState.density(rho).data, rho)
+    psi = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)[::2]
+    assert np.array_equal(QuantumState.pure(psi).data, [1.0, 0.0, 0.0])
 
 
 def test_operator_invariants():
