@@ -9,6 +9,19 @@ on the columns once, and a mixed rho(t) is positive semidefinite by
 construction.  Both chargers of a comparison start from one battery prepared
 once (``_prepare``).
 
+A ground-state row on the sigma-x battery (``delta_p_max`` with an int
+battery, every RT sweep row but the thermal ones) runs in the translation
+k = 0 block (``_prepare_k0``): the battery, its ground state and both
+chargers commute with the cyclic site shift, so the state never leaves the
+block of about 2^N / N orbit sums.  The blocks come from the operators'
+term lists (``tensor_core.k0_block``) and the battery's levels and ground
+vector from its site term (``tensor_core.SiteSpectrum``), with no
+2^N x 2^N matrix and no eigensolve, and the propagation and refinement
+below run on them unchanged.  At N = 12 (352 states) such a row, two
+2000-point traces, takes about 0.25 s and peaks at about 110 MB RSS on
+2 vCPUs.  Gibbs rows, PT rows, explicit operators, ``fig_ergotropy`` and
+the oracle check stay in the full space.
+
 Grid points, single snapshots and the one ergotropy trace
 (``work_and_ergotropy``; a power trace measures work alone) all go through
 one propagation path with three kernels.  A charger that is a sum of one
@@ -62,10 +75,13 @@ from .model_builders import (
     build_battery_xyz,
     build_charger,
     build_noninteracting_battery,
+    charger_terms,
+    noninteracting_terms,
     normalize_spectrum,
+    spectrum_map,
 )
-from .state_prep import QuantumState, _mixed, ground_state, thermal_state
-from .tensor_core import Operator
+from .state_prep import QuantumState, _ground, _mixed, ground_state, thermal_state
+from .tensor_core import Operator, SiteSpectrum, _orbits, k0_block
 
 _IM_TOL = 1e-10
 _TRACE_FLOOR = 1e-300
@@ -569,6 +585,31 @@ def _prepare(battery, init: str = "ground", beta: float | None = None):
     return h_b, thermal_state(h_b, beta)
 
 
+def _prepare_k0(n: int):
+    """``(h_b, rho0)`` of ``_prepare(n)``, the sigma-x battery normalized to
+    span [-1, 1] and its ground state, as their translation k = 0 blocks.
+
+    The levels, the map a H + b I (``spectrum_map``) and the ground vector
+    g^(x)n come from the site term (``SiteSpectrum``); the block is a times
+    ``k0_block`` of the battery's terms plus b, and the ground vector's k = 0
+    coordinates are sqrt(R_b) psi[s_b] over the orbit representatives s_b
+    of length R_b.  Neither a 2^n x 2^n matrix nor an eigensolve is made.
+    """
+    terms = noninteracting_terms(n)
+    spec = SiteSpectrum(terms.term, n)
+    a, b = spectrum_map(spec.values)
+    h_b = a * k0_block(terms)
+    h_b.flat[:: h_b.shape[0] + 1] += b
+    psi = _ground(spec._affine(a, b)).data
+    reps, _, lengths = _orbits(n)
+    return Operator(h_b, n_sites=n, k0=True), QuantumState.pure(np.sqrt(lengths) * psi[reps])
+
+
+def _k0_charger(spec: ChargerSpec) -> Operator:
+    """The translation k = 0 block of ``build_charger(spec)``, from its terms."""
+    return Operator(k0_block(charger_terms(spec)), n_sites=spec.n_sites, k0=True)
+
+
 def delta_p_max(
     battery,
     nonhermitian: ChargerSpec,
@@ -579,12 +620,22 @@ def delta_p_max(
     n_grid: int = 2000,
 ) -> DeltaRecord:
     """P_max difference between a non-Hermitian charger and its Hermitian
-    counterpart for a shared battery and initial state (``_prepare``)."""
-    h_b, rho0 = _prepare(battery, init, beta)
+    counterpart for a shared battery and initial state (``_prepare``).
+
+    A ground state of the sigma-x battery (an int ``battery``) and both
+    chargers are taken in the translation k = 0 block (``_prepare_k0``,
+    ``_k0_charger``); every other row runs on the dense operators.
+    """
+    if isinstance(battery, int) and init == "ground":
+        h_b, rho0 = _prepare_k0(battery)
+        build = _k0_charger
+    else:
+        h_b, rho0 = _prepare(battery, init, beta)
+        build = build_charger
     if nonhermitian.n_sites != h_b.n_sites or hermitian.n_sites != h_b.n_sites:
         raise ValueError("chargers must share n_sites with the battery")
-    trace_nh = power_trace(h_b, build_charger(nonhermitian), rho0, t_max, n_grid)
-    trace_h = power_trace(h_b, build_charger(hermitian), rho0, t_max, n_grid)
+    trace_nh = power_trace(h_b, build(nonhermitian), rho0, t_max, n_grid)
+    trace_h = power_trace(h_b, build(hermitian), rho0, t_max, n_grid)
     return DeltaRecord(
         p_max_nonhermitian=trace_nh.p_max,
         p_max_hermitian=trace_h.p_max,

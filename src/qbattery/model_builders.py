@@ -19,7 +19,7 @@ import numpy as np
 
 from .dense_linalg import REAL_SPECTRUM_TOL, general_eigenvalues
 from .errors import DegenerateSpectrumError
-from .tensor_core import Operator, _assemble, bond_pairs, max_sites, pauli, site_sum
+from .tensor_core import Operator, Terms, bond_pairs, from_terms, max_sites, pauli
 
 PT = "pt"
 PT_HERMITIAN = "pt_hermitian"
@@ -86,12 +86,12 @@ class ChargerSpec:
                 raise ValueError("RT charger needs n_sites >= 2")
 
 
-def _xy_chain(J: float, aniso: complex, delta: float, h: float, n: int, boundary: str) -> np.ndarray:
-    """(J/4) sum [(1+a) XX + (1-a) YY] + (delta/4) sum ZZ + (h/2) sum Z over
-    the bonds of an n-site chain, with anisotropy a = ``aniso``; YY's element
-    on a bond's flip is -1 on aligned spins and +1 on opposed ones."""
+def _xy_chain(J: float, aniso: complex, delta: float, h: float, n: int, boundary: str) -> Terms:
+    """The terms (J/4) sum [(1+a) XX + (1-a) YY] + (delta/4) sum ZZ + (h/2) sum Z
+    over the bonds of an n-site chain, with anisotropy a = ``aniso``; YY's
+    element on a bond's flip is -1 on aligned spins and +1 on opposed ones."""
     xy = [0.25 * J * ((1.0 + aniso) + (1.0 - aniso) * yy) for yy in (-1.0, 1.0)]
-    return _assemble(n, bonds=bond_pairs(n, boundary), xy=xy, zz=0.25 * delta, z=0.5 * h)
+    return Terms(n, bonds=bond_pairs(n, boundary), xy=xy, zz=0.25 * delta, z=0.5 * h)
 
 
 def build_battery_xyz(spec: BatterySpec) -> Operator:
@@ -100,39 +100,79 @@ def build_battery_xyz(spec: BatterySpec) -> Operator:
     H = (J/4) sum [(1+gamma) XX + (1-gamma) YY] + (delta/4) sum ZZ
         + (h/2) sum Z.
     """
-    h_mat = _xy_chain(spec.J, spec.gamma, spec.delta, spec.h, spec.n_sites, spec.boundary)
-    return Operator(h_mat, n_sites=spec.n_sites)
+    return from_terms(_xy_chain(spec.J, spec.gamma, spec.delta, spec.h, spec.n_sites, spec.boundary))
+
+
+def noninteracting_terms(n: int) -> Terms:
+    """The term list of ``build_noninteracting_battery(n)``."""
+    return Terms(n, pauli("x").matrix, range(n))
 
 
 def build_noninteracting_battery(n: int) -> Operator:
-    """Sum of single-site sigma^x terms."""
-    return site_sum(pauli("x"), n)
+    """Sum of single-site sigma^x terms.  Its spectrum comes from the site
+    term (``SiteSpectrum``), with no eigensolve."""
+    return from_terms(noninteracting_terms(n))
 
 
-def normalize_spectrum(h: Operator) -> Operator:
-    """Affine rescale a H + b I, a = 2/span, so the spectrum spans [-1, 1].
-
-    The extremes come from ``h.spectrum``, and the result's ``spectrum`` is
-    that same reduction mapped by the same a and b: its levels are
-    a lambda + b, and its ground vector and eigenvectors are those of ``h``,
-    computed on first read.  So a battery is reduced once, raw and
-    normalized together.
-    """
-    spec = h.spectrum
-    e_min = float(spec.values[0])
-    e_max = float(spec.values[-1])
+def spectrum_map(values: np.ndarray) -> tuple[float, float]:
+    """(a, b) with a = 2/span and b = -(e_max + e_min)/span, the affine map
+    a lambda + b that takes the ascending ``values`` onto [-1, 1]."""
+    e_min = float(values[0])
+    e_max = float(values[-1])
     span = e_max - e_min
     if span <= 1e-12 * max(1.0, abs(e_max), abs(e_min)):
         raise DegenerateSpectrumError(
             f"spectrum span {span:.3e} too small to normalize (H proportional to I)"
         )
-    a = 2.0 / span
-    b = -(e_max + e_min) / span
+    return 2.0 / span, -(e_max + e_min) / span
+
+
+def normalize_spectrum(h: Operator) -> Operator:
+    """Affine rescale a H + b I, a = 2/span, so the spectrum spans [-1, 1].
+
+    The extremes come from ``h.spectrum`` (``spectrum_map``), and the
+    result's ``spectrum`` is that same spectrum mapped by the same a and b:
+    its levels are a lambda + b, and its ground vector and eigenvectors are
+    those of ``h``, computed on first read.  So a battery is reduced once,
+    raw and normalized together, and a sigma-x battery not at all.
+    """
+    spec = h.spectrum
+    a, b = spectrum_map(spec.values)
     scaled = a * h.matrix
     scaled.flat[:: h.dim + 1] += b
     out = Operator(scaled, n_sites=h.n_sites)
     out.__dict__["spectrum"] = spec._affine(a, b)
     return out
+
+
+def _pt_term(alpha: float, kind: str) -> np.ndarray:
+    """sigma^x + i sin(alpha) sigma^z for ``PT``, sigma^x + sin(alpha) sigma^z
+    for ``PT_HERMITIAN``."""
+    s = math.sin(alpha)
+    return pauli("x").matrix + ((1j * s) if kind == PT else s) * pauli("z").matrix
+
+
+def charger_terms(spec: ChargerSpec) -> Terms:
+    """The term list of ``build_charger(spec)``: one ``_pt_term`` per site
+    for PT kinds; for RT kinds the battery's XY chain (``_xy_chain``) on a
+    ring, with no ZZ:
+
+    RT:           (J/4) sum [(1+i gamma') XX + (1-i gamma') YY] + (h'/2) sum Z
+    RT-Hermitian: the gamma -> -i gamma' substitution, i.e. the standard XY
+                  model with real anisotropy gamma'.
+    """
+    n = spec.n_sites
+    if spec.kind in (PT, PT_HERMITIAN):
+        return Terms(n, _pt_term(spec.alpha, spec.kind), range(n))
+    aniso = 1j * spec.gamma_prime if spec.kind == RT else spec.gamma_prime
+    return _xy_chain(spec.J, aniso, 0.0, spec.h_prime, n, "periodic")
+
+
+def build_charger(spec: ChargerSpec) -> Operator:
+    """Build the charger Hamiltonian for any charger kind
+    (``charger_terms``).  A PT kind keeps its per-site term as
+    ``site_term``."""
+    return from_terms(charger_terms(spec))
 
 
 def build_pt_charger(alpha: float, n: int) -> Operator:
@@ -141,42 +181,21 @@ def build_pt_charger(alpha: float, n: int) -> Operator:
     alpha = pi/2 is the exceptional point where the per-site term becomes
     defective.  The per-site term is kept as ``site_term``.
     """
-    s = math.sin(alpha)
-    term = pauli("x").matrix + (1j * s) * pauli("z").matrix
-    return site_sum(Operator(term, n_sites=1), n)
+    return from_terms(Terms(n, _pt_term(alpha, PT), range(n)))
 
 
 def build_pt_hermitian_charger(alpha: float, n: int) -> Operator:
     """Hermitian counterpart of the PT charger: sigma^x + sin(alpha) sigma^z per
     site, kept as ``site_term``."""
-    s = math.sin(alpha)
-    term = pauli("x").matrix + s * pauli("z").matrix
-    return site_sum(Operator(term, n_sites=1), n)
+    return from_terms(Terms(n, _pt_term(alpha, PT_HERMITIAN), range(n)))
 
 
 def build_rt_charger(spec: ChargerSpec) -> Operator:
-    """XY ring charger with imaginary (RT) or real (Hermitian) anisotropy.
-
-    RT:           (J/4) sum [(1+i gamma') XX + (1-i gamma') YY] + (h'/2) sum Z
-    RT-Hermitian: the gamma -> -i gamma' substitution, i.e. the standard XY
-                  model with real anisotropy gamma'.
-
-    Both are the battery's XY chain (``_xy_chain``) on a ring, with no ZZ.
-    """
+    """XY ring charger with imaginary (RT) or real (Hermitian) anisotropy
+    (``charger_terms``)."""
     if spec.kind not in (RT, RT_HERMITIAN):
         raise ValueError(f"build_rt_charger expects an RT spec, got {spec.kind!r}")
-    aniso = 1j * spec.gamma_prime if spec.kind == RT else spec.gamma_prime
-    h_mat = _xy_chain(spec.J, aniso, 0.0, spec.h_prime, spec.n_sites, "periodic")
-    return Operator(h_mat, n_sites=spec.n_sites)
-
-
-def build_charger(spec: ChargerSpec) -> Operator:
-    """Build the charger Hamiltonian for any charger kind."""
-    if spec.kind == PT:
-        return build_pt_charger(spec.alpha, spec.n_sites)
-    if spec.kind == PT_HERMITIAN:
-        return build_pt_hermitian_charger(spec.alpha, spec.n_sites)
-    return build_rt_charger(spec)
+    return build_charger(spec)
 
 
 def check_antilinear_symmetry(h: Operator, kind: str) -> float:

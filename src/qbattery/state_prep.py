@@ -10,7 +10,7 @@ import numpy as np
 
 from .dense_linalg import hermitian_eig
 from .errors import DegenerateGroundStateError
-from .tensor_core import Operator
+from .tensor_core import Operator, _all_finite
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 
@@ -49,7 +49,7 @@ class QuantumState:
         else:
             raise ValueError(f"state data must be a vector or a square matrix, got {arr.shape}")
         arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr.view(float))):
+        if not _all_finite(arr):
             raise ValueError("state entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -123,8 +123,12 @@ def ground_state(h: Operator) -> QuantumState:
     ``DEFAULT_DEGENERACY_TOL``; the caller must shift parameters away from
     the crossing.
     """
-    spec = h.spectrum
-    if h.dim > 1:
+    return _ground(h.spectrum)
+
+
+def _ground(spec) -> QuantumState:
+    """``ground_state`` of the operator whose spectrum is ``spec``."""
+    if spec.values.size > 1:
         gap = float(spec.values[1] - spec.values[0])
         if gap < DEFAULT_DEGENERACY_TOL:
             raise DegenerateGroundStateError(

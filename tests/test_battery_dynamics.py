@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbattery import battery_dynamics, dense_linalg
+from qbattery import battery_dynamics, dense_linalg, tensor_core
 from qbattery import closed_form_oracles as oracles
 from qbattery.battery_dynamics import (
     _grid_step,
@@ -1147,11 +1148,64 @@ def _shipped_window(name):
     return config.t_max, config.n_grid
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_rt_advantage_persists_with_chain_length(n):
     t_max, n_grid = _shipped_window("fig_rt_scaling_N.cfg")
     rec = delta_p_max(n, *rt_pair(0.8, 0.5, n), t_max=t_max, n_grid=n_grid)
     assert rec.delta > 0
+
+
+# --- RT rows in the translation k = 0 block -----------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("gamma_prime,h_prime", [(0.3, 1.5), (1.2, 0.2)])
+def test_k0_route_matches_the_dense_route(n, gamma_prime, h_prime):
+    # The unbroken (0.3, 1.5) and broken (1.2, 0.2) phases of the RT ring,
+    # and its Hermitian twin, from the sigma-x ground state.
+    h_b, psi = battery_dynamics._prepare(n)
+    h_b0, psi0 = battery_dynamics._prepare_k0(n)
+    assert h_b0.k0 and h_b0.dim == psi0.dim < h_b.dim
+    for spec in rt_pair(gamma_prime, h_prime, n):
+        dense = power_trace(h_b, build_charger(spec), psi, 10.0, 600)
+        block = power_trace(h_b0, battery_dynamics._k0_charger(spec), psi0, 10.0, 600)
+        assert abs(block.p_max - dense.p_max) < 1e-13
+        assert abs(block.t_star - dense.t_star) < 1e-13
+        assert np.max(np.abs(block.work - dense.work)) < 1e-13
+
+
+def test_k0_route_builds_no_full_matrix(monkeypatch):
+    # N = 10: d = 1024, so one d x d complex matrix is 16.8 MB.
+    t_max, n_grid = _shipped_window("fig_rt_scaling_N.cfg")
+    specs = rt_pair(0.8, 0.5, 10)
+    tracemalloc.start()
+    try:
+        rec = delta_p_max(10, *specs, t_max=t_max, n_grid=n_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.delta > 0
+    assert peak < 16 * 1024**2
+
+    def refuse(terms):
+        raise AssertionError(f"dense assembly on {terms.n} sites")
+
+    monkeypatch.setattr(tensor_core, "_assemble", refuse)
+    assert delta_p_max(4, *rt_pair(0.8, 0.5, 4), t_max=5.0, n_grid=64).delta > 0
+
+
+def test_only_ground_state_rows_on_the_sigma_x_battery_take_the_k0_route(monkeypatch):
+    # Gibbs rows, PT rows and explicit operators stay dense.
+    seen = []
+    original = battery_dynamics._prepare_k0
+    monkeypatch.setattr(battery_dynamics, "_prepare_k0", lambda n: seen.append(n) or original(n))
+    delta_p_max(3, *rt_pair(0.8, 0.5, 3), init="thermal", beta=1.0, t_max=5.0, n_grid=64)
+    delta_p_max(build_noninteracting_battery(3), *rt_pair(0.8, 0.5, 3), t_max=5.0, n_grid=64)
+    battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=3)
+    delta_p_max(battery, *pt_pair(np.pi / 3, n=3), t_max=5.0, n_grid=64)
+    assert seen == []
+    delta_p_max(3, *rt_pair(0.8, 0.5, 3), t_max=5.0, n_grid=64)
+    assert seen == [3]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -1298,7 +1352,9 @@ def test_delta_row_diagonalizes_its_battery_once(monkeypatch, row):
     # A row reduces the raw battery once, for its values (normalization).
     # The normalized battery maps that reduction and takes from it the one
     # vector form its state needs: the ground vector alone for a pure state,
-    # all vectors for a Gibbs state.  Both traces reuse that.
+    # all vectors for a Gibbs state.  Both traces reuse that.  The sigma-x
+    # battery of an RT row takes its spectrum from its site term instead:
+    # no reduction and no QL pass at all.
     if row == "pt_ground":
         battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=4, boundary="open")
         raw = build_battery_xyz(battery)
@@ -1308,10 +1364,26 @@ def test_delta_row_diagonalizes_its_battery_once(monkeypatch, row):
         battery = 3
         raw = build_noninteracting_battery(3)
         chargers, kwargs = rt_pair(0.8, 0.5, n=3), {"init": "thermal", "beta": 1.0}
-        state_kind = "vectors"
     calls = _battery_eig_calls(monkeypatch, [raw.matrix, normalize_spectrum(raw).matrix])
+    reductions, passes = _reductions(monkeypatch), _ql_passes(monkeypatch)
     delta_p_max(battery, *chargers, t_max=5.0, n_grid=64, **kwargs)
-    assert calls == [(0, "values"), (0, state_kind)]
+    if row == "pt_ground":
+        assert calls == [(0, "values"), (0, state_kind)]
+    else:
+        assert calls == [] and reductions == [] and passes == []
+
+
+def _reductions(monkeypatch):
+    """Record the dimension of every Householder reduction, of any matrix."""
+    original = dense_linalg._tridiagonalize
+    sizes = []
+
+    def counted(a, fro, blocks):
+        sizes.append(a.shape[0])
+        return original(a, fro, blocks)
+
+    monkeypatch.setattr(dense_linalg, "_tridiagonalize", counted)
+    return sizes
 
 
 def _ql_passes(monkeypatch):
@@ -1330,6 +1402,7 @@ def _ql_passes(monkeypatch):
 @pytest.mark.parametrize("family", [PT, RT])
 def test_pure_state_traces_never_reach_the_full_vector_ql(monkeypatch, family):
     passes = _ql_passes(monkeypatch)
+    reductions = _reductions(monkeypatch)
     if family == PT:
         h_b = xx_battery(n=4, boundary="open")
         nh, herm = pt_pair(np.pi / 3, n=4)
@@ -1341,14 +1414,24 @@ def test_pure_state_traces_never_reach_the_full_vector_ql(monkeypatch, family):
         power_trace(h_b, build_charger(spec), psi, 5.0, 64)
     ergotropy(h_b, psi)
     ergotropy(h_b, evolve_normalized(build_charger(nh), psi, 0.7))
-    assert passes and not any(passes)
+    if family == PT:
+        assert passes and not any(passes)
+    else:  # the sigma-x battery's spectrum comes from its site term
+        assert passes == [] and reductions == []
 
 
 @pytest.mark.parametrize("init,full_passes", [("ground", 0), ("thermal", 1)])
 def test_sweep_row_runs_the_full_vector_ql_only_for_a_gibbs_state(monkeypatch, init, full_passes):
+    # An RT row's sigma-x battery takes its levels, ground vector and Gibbs
+    # factor from its site term: no reduction and no QL pass.  A PT row's
+    # XYZ battery runs the full-vector QL for a Gibbs state only.
     passes = _ql_passes(monkeypatch)
+    reductions = _reductions(monkeypatch)
     kwargs = {"init": "thermal", "beta": 1.0} if init == "thermal" else {}
     delta_p_max(3, *rt_pair(0.8, 0.5, n=3), t_max=5.0, n_grid=64, **kwargs)
+    assert passes == [] and reductions == []
+    battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=3, boundary="open")
+    delta_p_max(battery, *pt_pair(np.pi / 3, n=3), t_max=5.0, n_grid=64, **kwargs)
     assert sum(passes) == full_passes
 
 
@@ -1383,10 +1466,13 @@ def test_thermal_row_diagonalizes_only_its_battery_with_vectors(monkeypatch, fam
         battery = 3
         h_b = normalize_spectrum(build_noninteracting_battery(3))
         chargers = rt_pair(0.8, 0.5, n=3)
+    reductions, passes = _reductions(monkeypatch), _ql_passes(monkeypatch)
     delta_p_max(battery, *chargers, init="thermal", beta=1.0, t_max=5.0, n_grid=64)
     assert [vectors for _, vectors in calls] == [True]
     assert np.array_equal(calls[0][0], h_b.matrix)
     assert passive == []
+    if family == RT:  # its vectors are the site term's Kronecker power
+        assert reductions == [] and passes == []
 
 
 def test_spectrum_is_cached_and_read_only():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -160,3 +161,19 @@ def test_factor_rejects_negative_eigenvalue():
     psi = ground_state(xx_battery())
     proj = QuantumState.density(np.outer(psi.data, psi.data.conj()))
     assert np.max(np.abs(proj.factor @ proj.factor.conj().T - proj.data)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0, math.inf])
+def test_sigma_x_gibbs_state_is_the_site_product(n, beta):
+    # The normalized sigma-x battery is sum_r sigma^x_r / n, so its Gibbs
+    # state is the n-th Kronecker power of the one-site Gibbs state of
+    # sigma^x / n, whose factor is V_s sqrt(p_s).
+    h = normalize_spectrum(build_noninteracting_battery(n))
+    rho = thermal_state(h, beta)
+    lam = np.array([-1.0, 1.0]) / n
+    p = np.exp(-beta * (lam - lam[0])) if math.isfinite(beta) else np.array([1.0, 0.0])
+    site = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0) * np.sqrt(p / p.sum())
+    w = functools.reduce(np.kron, [site] * n)
+    assert np.max(np.abs(rho.data - w @ w.conj().T)) < 1e-14
+    assert np.max(np.abs(rho.factor @ rho.factor.conj().T - rho.data)) < 1e-15

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.dense_linalg import general_eigenvalues
+from qbattery.errors import DegenerateGroundStateError
 from qbattery.state_prep import QuantumState
 from qbattery.tensor_core import (
     Operator,
+    SiteSpectrum,
+    Terms,
     _assemble,
+    _orbits,
     bond_pairs,
     embed_site,
+    k0_block,
     max_sites,
     pauli,
     site_sum,
@@ -150,25 +155,25 @@ def test_site_product_places_factors_left_to_right():
     assert np.array_equal(embed_site(pauli("identity"), 2, 3).matrix, np.eye(8))
     assert np.array_equal(embed_site(pauli("x"), 0, 3).matrix, np.kron(np.kron(SX, np.eye(2)), np.eye(2)))
     assert np.array_equal(embed_site(pauli("z"), 2, 3).matrix, np.kron(np.eye(4), SZ))
-    assert np.array_equal(_assemble(3, bonds=[(0, 2)], xy=(1.0, 1.0)), np.kron(np.kron(SX, np.eye(2)), SX))
-    assert np.array_equal(_assemble(3, bonds=[(2, 0)], zz=1.0), np.kron(np.kron(SZ, np.eye(2)), SZ))
-    assert np.array_equal(_assemble(3, z=1.0), site_sum(pauli("z"), 3).matrix)
+    assert np.array_equal(_assemble(Terms(3, bonds=[(0, 2)], xy=(1.0, 1.0))), np.kron(np.kron(SX, np.eye(2)), SX))
+    assert np.array_equal(_assemble(Terms(3, bonds=[(2, 0)], zz=1.0)), np.kron(np.kron(SZ, np.eye(2)), SZ))
+    assert np.array_equal(_assemble(Terms(3, z=1.0)), site_sum(pauli("z"), 3).matrix)
 
 
 def test_site_product_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
-        _assemble(0, SX, (0,))
+        _assemble(Terms(0, SX, (0,)))
     with pytest.raises(ValueError):
         embed_site(Operator(SX, n_sites=1), 0, 0)
     with pytest.raises(ValueError):
-        _assemble(3, SX, (3,))
+        _assemble(Terms(3, SX, (3,)))
     with pytest.raises(ValueError):
-        _assemble(3, bonds=[(0, 3)], xy=(1.0, 1.0))
+        _assemble(Terms(3, bonds=[(0, 3)], xy=(1.0, 1.0)))
     with pytest.raises(ValueError):
-        _assemble(3, np.eye(4), (0,))
+        _assemble(Terms(3, np.eye(4), (0,)))
     monkeypatch.setenv("QBATTERY_MAX_SITES", "3")
     with pytest.raises(ValueError):
-        _assemble(4)
+        _assemble(Terms(4))
     with pytest.raises(ValueError):
         site_sum(pauli("x"), 4)
 
@@ -189,7 +194,7 @@ def test_site_product_of_two_sites_is_the_product_of_embeddings(axes, sites):
     ea = embed_site(pauli(a), r, n).matrix
     eb = embed_site(pauli(b), s, n).matrix
     assert np.array_equal(ea @ eb, kron_sites({r: BOND_TERMS[a][0], s: BOND_TERMS[b][0]}, n))
-    assembled = _assemble(n, bonds=[(r, s)], **BOND_TERMS[a][1])
+    assembled = _assemble(Terms(n, bonds=[(r, s)], **BOND_TERMS[a][1]))
     assert np.array_equal(assembled, ea @ eb) == (a == b)
 
 
@@ -206,3 +211,151 @@ def test_site_product_equals_numpy_kron(n):
     assert np.array_equal(site_sum(Operator(term, n_sites=1), n).matrix, want)
     for axis in ("x", "y", "z"):
         assert np.array_equal(site_sum(pauli(axis), n).matrix, sum(kron_sites({r: pauli(axis).matrix}, n) for r in range(n)))
+
+
+# --- finiteness -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j * np.inf, 1j * np.nan])
+def test_one_non_finite_entry_is_rejected(bad):
+    m = np.eye(4, dtype=complex)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Operator(m, n_sites=2)
+    psi = np.full(4, 0.5, dtype=complex)
+    psi[3] = bad
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 1] = bad
+    with np.errstate(invalid="ignore"):  # normalizing them meets the entry first
+        with pytest.raises(ValueError):
+            QuantumState.pure(psi)
+        with pytest.raises(ValueError):
+            QuantumState.density(rho)
+
+
+def test_finite_entries_whose_sum_overflows_are_accepted():
+    m = np.full((4, 4), 1e308 + 1e308j)
+    with np.errstate(over="ignore"):
+        assert np.isinf(m.view(float).sum())
+    assert np.array_equal(Operator(m, n_sites=2).matrix, m)
+
+
+# --- translation k = 0 block --------------------------------------------------------
+
+
+def _rotations(b, n):
+    return [((b << k) | (b >> (n - k))) & ((1 << n) - 1) for k in range(n)]
+
+
+def k0_basis(n):
+    """U, the d x d0 matrix whose column a is the sum of the basis states of
+    orbit a over sqrt(its length), from an explicit orbit enumeration."""
+    orbits = {}
+    for b in range(1 << n):
+        orbits.setdefault(min(_rotations(b, n)), set()).add(b)
+    u = np.zeros((1 << n, len(orbits)))
+    for a, rep in enumerate(sorted(orbits)):
+        members = sorted(orbits[rep])
+        u[members, a] = 1.0 / np.sqrt(len(members))
+    return u
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orbits_of_the_bit_rotation(n):
+    reps, orbit, lengths = _orbits(n)
+    # the number of binary necklaces of length n (OEIS A000031)
+    assert reps.size == [2, 3, 4, 6, 8, 14, 20, 36, 60, 108, 188, 352][n - 1]
+    assert lengths.sum() == 1 << n and all(n % r == 0 for r in lengths.tolist())
+    assert np.array_equal(orbit[reps], np.arange(reps.size))
+    for b in range(0, 1 << n, max(1, (1 << n) // 64)):
+        rots = _rotations(b, n)
+        assert reps[orbit[b]] == min(rots) and lengths[orbit[b]] == len(set(rots))
+    assert _orbits(n) is _orbits(n)
+    assert not any(a.flags.writeable for a in (reps, orbit, lengths))
+
+
+def _ring_terms(n):
+    rng = np.random.default_rng(n)
+    general = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    terms = [Terms(n, SX, range(n)), Terms(n, general, range(n)), Terms(n, z=0.7)]
+    if n >= 2:
+        bonds = bond_pairs(n)
+        terms += [
+            Terms(n, bonds=bonds, xy=(0.2j, 0.5), z=0.25),  # an RT ring
+            Terms(n, bonds=bonds, xy=(0.3, -0.45), zz=0.35, z=-0.6),  # a periodic XYZ chain
+        ]
+    return terms
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_k0_block_is_the_projection_on_the_orbit_sums(n):
+    u = k0_basis(n)
+    for terms in _ring_terms(n):
+        dense = _assemble(terms)
+        assert np.max(np.abs(k0_block(terms) - u.T @ dense @ u)) < 1e-13
+        # the orbit sums span an invariant subspace
+        assert np.max(np.abs(dense @ u - u @ (u.T @ dense @ u))) < 1e-13
+
+
+def test_k0_block_rejects_terms_that_break_the_ring():
+    for terms in (Terms(4, SX, (0,)), Terms(4, bonds=bond_pairs(4, "open"), xy=(1.0, 1.0))):
+        with pytest.raises(ValueError, match="k = 0 block"):
+            k0_block(terms)
+
+
+def test_k0_operator_dimension():
+    block = k0_block(Terms(4, SX, range(4)))
+    assert Operator(block, n_sites=4, k0=True).dim == 6
+    with pytest.raises(ValueError, match="k = 0 block"):
+        Operator(block, n_sites=5, k0=True)
+    with pytest.raises(ValueError):
+        Operator(block, n_sites=4)
+    with pytest.raises(ValueError, match="cap"):
+        Operator(np.eye(6), n_sites=40, k0=True)
+
+
+# --- spectra from a site term -------------------------------------------------------
+
+
+SITE_TERMS = [
+    SX,
+    SZ,  # diagonal, lower level at bit 1
+    -SZ + 0.3 * np.eye(2),  # diagonal, lower level at bit 0
+    np.array([[0.4, 0.3 - 0.8j], [0.3 + 0.8j, -1.1]]),  # h_00 > h_11
+    np.array([[-0.9, -0.2 + 0.5j], [-0.2 - 0.5j, 0.6]]),  # h_00 < h_11
+]
+
+
+@pytest.mark.parametrize("k", range(len(SITE_TERMS)))
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_site_spectrum_matches_the_dense_matrix(k, n):
+    op = site_sum(Operator(SITE_TERMS[k], n_sites=1), n)
+    spec = op.spectrum
+    assert isinstance(spec, SiteSpectrum)
+    h = op.matrix
+    assert np.max(np.abs(spec.values - np.linalg.eigvalsh(h))) < 1e-13
+    v = spec.vectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(h.shape[0]))) < 1e-14
+    assert np.max(np.abs(h @ v - v * spec.values)) < 1e-13
+    g = spec.ground
+    assert abs(np.linalg.norm(g) - 1.0) < 1e-15
+    assert np.max(np.abs(h @ g - spec.values[0] * g)) < 1e-13
+    assert not any(a.flags.writeable for a in (spec.values, v, g))
+
+
+def test_site_spectrum_affine_map_and_degenerate_site():
+    spec = site_sum(pauli("x"), 3).spectrum
+    mapped = spec._affine(0.5, 0.25)
+    assert np.array_equal(mapped.values, 0.5 * spec.values + 0.25)
+    assert np.array_equal(mapped.ground, spec.ground)
+    flat = site_sum(Operator(2.0 * np.eye(2), n_sites=1), 3).spectrum
+    assert np.array_equal(flat.values, np.full(8, 6.0))
+    with pytest.raises(DegenerateGroundStateError):
+        flat.ground
+
+
+def test_only_a_hermitian_site_term_skips_the_eigensolve():
+    pt = site_sum(Operator(SX + 0.5j * SZ, n_sites=1), 2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pt.spectrum
+    assert not isinstance(embed_site(pauli("x"), 0, 2).spectrum, SiteSpectrum)
