@@ -40,9 +40,8 @@ from .model_builders import (
     RT_HERMITIAN,
     BatterySpec,
     ChargerSpec,
-    build_charger,
 )
-from .tensor_core import max_sites
+from .tensor_core import _orbits, max_sites
 
 DEGEN_MARKER = "DEGEN"
 _J_MARGIN = 0.1  # ground-state degeneracy margin for the (h, J) map
@@ -169,8 +168,8 @@ def _ergotropy_trace(config: SweepConfig) -> SweepResult:
     columns = []
     for family in (PT, RT):
         battery, charger, _ = _setup(family, params)
-        h_b, psi0 = _prepare(battery)
-        columns += work_and_ergotropy(h_b, build_charger(charger), psi0, times)
+        h_b, psi0, (h_charge,) = _prepare(battery, [charger])
+        columns += work_and_ergotropy(h_b, h_charge, psi0, times)
     return SweepResult(
         param_names=["t"],
         metric_names=list(EXPERIMENTS["fig_ergotropy"].metrics),
@@ -624,15 +623,18 @@ def _oracle_cases():
 def _oracle_checks() -> list[tuple[str, float, float, bool]]:
     """(name, max_error, tolerance, passed) for every closed-form expression.
 
-    The powers come from one ``work_and_ergotropy`` call per charger on the
-    evenly spaced grid, the route every sweep grid takes; the states from
-    one ``evolve_normalized`` per time."""
+    Each case is prepared as a sweep row is (``_prepare``), so the RT cases
+    run in the translation k = 0 block.  The powers come from one
+    ``work_and_ergotropy`` call per charger on the evenly spaced grid, the
+    route every sweep grid takes; the states from one ``evolve_normalized``
+    per time, a block state lifted to the full space through the orbit map:
+    its coordinate on orbit a over sqrt(R_a) on each basis state of orbit a."""
     checks = []
     times = np.linspace(0.01, 10.0, 400)
+    _, orbit, lengths = _orbits(2)
     for family, point, names, power, herm_power, state_of in _oracle_cases():
         battery, *specs = _setup(family, {"n_sites": 2, **point})
-        h_b, psi0 = _prepare(battery)
-        charger, herm = (build_charger(spec) for spec in specs)
+        h_b, psi0, (charger, herm) = _prepare(battery, specs)
         errs = []
         for h_charge, closed_form in ((charger, power), (herm, herm_power)):
             work_vals, _ = work_and_ergotropy(h_b, h_charge, psi0, times)
@@ -643,7 +645,10 @@ def _oracle_checks() -> list[tuple[str, float, float, bool]]:
                 want = state_of(t)
             except OracleDomainError:
                 continue
-            err_s = max(err_s, abs(1.0 - abs(np.vdot(want, evolve_normalized(charger, psi0, t).data))))
+            got = evolve_normalized(charger, psi0, t).data
+            if charger.k0:
+                got = got[orbit] / np.sqrt(lengths[orbit])
+            err_s = max(err_s, abs(1.0 - abs(np.vdot(want, got))))
         checks += [(name, err, 1e-8, err <= 1e-8) for name, err in zip(names, (*errs, err_s))]
     return checks
 

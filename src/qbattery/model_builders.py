@@ -114,33 +114,28 @@ def build_noninteracting_battery(n: int) -> Operator:
     return from_terms(noninteracting_terms(n))
 
 
-def spectrum_map(values: np.ndarray) -> tuple[float, float]:
-    """(a, b) with a = 2/span and b = -(e_max + e_min)/span, the affine map
-    a lambda + b that takes the ascending ``values`` onto [-1, 1]."""
-    e_min = float(values[0])
-    e_max = float(values[-1])
+def normalize_spectrum(h: Operator) -> Operator:
+    """Affine rescale a H + b I, a = 2/span, so the spectrum spans [-1, 1].
+
+    The extremes come from ``h.spectrum``, and the result's ``spectrum`` is
+    that same spectrum mapped by the same a and b: its levels are
+    a lambda + b, and its ground vector and eigenvectors are those of ``h``,
+    computed on first read.  So a battery is reduced once, raw and
+    normalized together, and a sigma-x battery not at all.  A k = 0 block
+    stays one (``Operator.k0``).
+    """
+    spec = h.spectrum
+    e_min = float(spec.values[0])
+    e_max = float(spec.values[-1])
     span = e_max - e_min
     if span <= 1e-12 * max(1.0, abs(e_max), abs(e_min)):
         raise DegenerateSpectrumError(
             f"spectrum span {span:.3e} too small to normalize (H proportional to I)"
         )
-    return 2.0 / span, -(e_max + e_min) / span
-
-
-def normalize_spectrum(h: Operator) -> Operator:
-    """Affine rescale a H + b I, a = 2/span, so the spectrum spans [-1, 1].
-
-    The extremes come from ``h.spectrum`` (``spectrum_map``), and the
-    result's ``spectrum`` is that same spectrum mapped by the same a and b:
-    its levels are a lambda + b, and its ground vector and eigenvectors are
-    those of ``h``, computed on first read.  So a battery is reduced once,
-    raw and normalized together, and a sigma-x battery not at all.
-    """
-    spec = h.spectrum
-    a, b = spectrum_map(spec.values)
+    a, b = 2.0 / span, -(e_max + e_min) / span
     scaled = a * h.matrix
     scaled.flat[:: h.dim + 1] += b
-    out = Operator(scaled, n_sites=h.n_sites)
+    out = Operator(scaled, n_sites=h.n_sites, k0=h.k0)
     out.__dict__["spectrum"] = spec._affine(a, b)
     return out
 

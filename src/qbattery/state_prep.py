@@ -123,11 +123,7 @@ def ground_state(h: Operator) -> QuantumState:
     ``DEFAULT_DEGENERACY_TOL``; the caller must shift parameters away from
     the crossing.
     """
-    return _ground(h.spectrum)
-
-
-def _ground(spec) -> QuantumState:
-    """``ground_state`` of the operator whose spectrum is ``spec``."""
+    spec = h.spectrum
     if spec.values.size > 1:
         gap = float(spec.values[1] - spec.values[0])
         if gap < DEFAULT_DEGENERACY_TOL:

@@ -128,14 +128,22 @@ class SiteSpectrum:
     is g^(x)n; each is built on first read and kept.  ``ground`` raises
     ``DegenerateGroundStateError`` at a site gap of 0.  ``_affine(a, b)`` is
     the spectrum of a M + b I, a > 0: values a lambda + b, the same vectors.
+
+    With ``k0`` it is the spectrum of the translation k = 0 block
+    (``k0_block``): in the eigenbasis [g, e]^(x)n the block is spanned by the
+    orbit sums of the product states, so ``values`` lists the level of each
+    orbit representative, level k once per orbit with k 1 bits, and
+    ``ground`` is the block coordinates sqrt(R_b) g^(x)n[s_b] of g^(x)n over
+    the representatives s_b of length R_b.  ``vectors`` raises
+    ``ValueError``: a Gibbs state leaves the block.
     """
 
-    def __init__(self, term: np.ndarray, n: int):
+    def __init__(self, term: np.ndarray, n: int, k0: bool = False):
         half = 0.5 * float(term[0, 0].real - term[1, 1].real)
         tau = 0.5 * float(term[0, 0].real + term[1, 1].real)
         off = complex(term[0, 1])
         r = math.hypot(half, abs(off))
-        self._n, self._gap = n, 2.0 * r
+        self._n, self._gap, self._k0 = n, 2.0 * r, k0
         if r == 0.0:
             self._site = np.eye(2, dtype=complex)
         else:
@@ -146,7 +154,11 @@ class SiteSpectrum:
                 g, e = (-big, off.conjugate()), (off, big)
             self._site = np.array([g, e], dtype=complex).T / math.hypot(abs(off), big)
         levels = [(n - k) * (tau - r) + k * (tau + r) for k in range(n + 1)]
-        self.values = _frozen(np.repeat(levels, [math.comb(n, k) for k in range(n + 1)]))
+        if k0:
+            counts = np.bincount(_ones(_orbits(n)[0], n), minlength=n + 1)
+        else:
+            counts = [math.comb(n, k) for k in range(n + 1)]
+        self.values = _frozen(np.repeat(levels, counts))
 
     def _affine(self, a: float, b: float) -> SiteSpectrum:
         out = object.__new__(SiteSpectrum)
@@ -161,14 +173,22 @@ class SiteSpectrum:
         psi = np.ones(1, dtype=complex)
         for _ in range(self._n):  # psi (x) g, site 0 leftmost
             psi = np.multiply.outer(psi, self._site[:, 0]).ravel()
+        if self._k0:
+            reps, _, lengths = _orbits(self._n)
+            psi = np.sqrt(lengths) * psi[reps]
         return _frozen(psi)
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
-        idx = np.arange(1 << self._n)
-        ones = sum((idx >> s) & 1 for s in range(self._n))
+        if self._k0:
+            raise ValueError("a Gibbs state leaves the k = 0 block: no eigenvectors are formed")
         kron = functools.reduce(np.kron, [self._site] * self._n, np.ones((1, 1), dtype=complex))
-        return _frozen(kron[:, np.argsort(ones, kind="stable")])
+        return _frozen(kron[:, np.argsort(_ones(np.arange(1 << self._n), self._n), kind="stable")])
+
+
+def _ones(idx: np.ndarray, n: int) -> np.ndarray:
+    """The number of 1 bits among the low ``n`` bits of each index."""
+    return sum((idx >> s) & 1 for s in range(n))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -187,12 +207,17 @@ class Operator:
     ``site_term`` is the read-only 2x2 matrix h with ``matrix == sum_r h_r``
     when those terms are one identical term per site, and ``None`` otherwise.
     ``k0`` marks the translation k = 0 block of an ``n_sites`` ring operator
-    (``k0_block``), whose dimension is the number of k = 0 orbits.
+    (``k0_block``), whose dimension is the number of k = 0 orbits; the block
+    built by ``from_terms(t, k0=True)`` keeps ``t``, and has no
+    ``site_term``, as its matrix is no Kronecker sum.  Ground-state RT sweep
+    rows, ``fig_ergotropy``'s RT columns and the RT oracle checks run on
+    such blocks (``battery_dynamics._prepare``).
 
     ``spectrum`` is built on first use and then kept, so a battery's
     spectrum is computed once however many states and traces read it.  With
-    a Hermitian ``site_term`` it is the ``SiteSpectrum`` of that term, from
-    the 2x2 term alone.  Otherwise it is the ``HermitianSpectrum`` of
+    one Hermitian term per site it is the ``SiteSpectrum`` of that term,
+    from the 2x2 term alone, restricted to the block for a ``k0`` operator.
+    Otherwise it is the ``HermitianSpectrum`` of
     ``matrix``: building it computes the reduction to tridiagonal form,
     confined to the matrix's exact direct-sum blocks (the parity sectors of
     an XYZ battery, and the magnetization sectors too when gamma = 0), and
@@ -241,13 +266,13 @@ class Operator:
 
     @property
     def site_term(self) -> np.ndarray | None:
-        return None if self.terms is None else self.terms.site_term
+        return None if self.terms is None or self.k0 else self.terms.site_term
 
     @functools.cached_property
     def spectrum(self):
-        term = self.site_term
+        term = None if self.terms is None else self.terms.site_term
         if term is not None and not (term - term.conj().T).any():
-            return SiteSpectrum(term, self.n_sites)
+            return SiteSpectrum(term, self.n_sites, self.k0)
         from .dense_linalg import HermitianSpectrum  # dense_linalg imports this module
 
         return HermitianSpectrum(self.matrix)
@@ -299,9 +324,10 @@ def _assemble(t: Terms) -> np.ndarray:
     return out
 
 
-def from_terms(t: Terms) -> Operator:
-    """The operator assembled from the term list ``t``, which it keeps."""
-    out = Operator(_assemble(t), n_sites=t.n)
+def from_terms(t: Terms, k0: bool = False) -> Operator:
+    """The operator assembled from the term list ``t``, which it keeps; with
+    ``k0``, its translation k = 0 block (``k0_block``)."""
+    out = Operator(k0_block(t) if k0 else _assemble(t), n_sites=t.n, k0=k0)
     object.__setattr__(out, "terms", t)
     return out
 
@@ -353,15 +379,6 @@ def embed_site(op: Operator, site: int, n: int) -> Operator:
     tensor factor counted from the left.
     """
     return from_terms(Terms(n, op.matrix, (site,)))
-
-
-def site_sum(op: Operator, n: int) -> Operator:
-    """Sum of ``op`` embedded at every site of an ``n``-site chain.
-
-    The result carries ``op.matrix`` as its ``site_term``, so propagators can
-    use the exact product form exp(-i t sum_r h_r) = exp(-i t h)^(x)n.
-    """
-    return from_terms(Terms(n, op.matrix, range(n)))
 
 
 def bond_pairs(n: int, boundary: str = "periodic") -> list[tuple[int, int]]:

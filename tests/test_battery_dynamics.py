@@ -45,7 +45,7 @@ from qbattery.model_builders import (
     normalize_spectrum,
 )
 from qbattery.state_prep import QuantumState, ground_state, thermal_state
-from qbattery.tensor_core import Operator, site_sum
+from qbattery.tensor_core import Operator, Terms, from_terms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -119,7 +119,7 @@ def test_evolve_normalization_underflow():
 
 
 def test_evolve_product_overflow_raises_numeric_range():
-    growing = site_sum(Operator(5.0j * np.eye(2), n_sites=1), 2)
+    growing = from_terms(Terms(2, 5.0j * np.eye(2), range(2)))
     psi = QuantumState.pure(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(NumericRangeError):
         evolve_normalized(growing, psi, 200.0)
@@ -169,7 +169,7 @@ def test_normalized_state_invariant_under_complex_energy_shift(n, c_re, c_im, th
     rho0 = thermal_state(battery, beta=1.0) if thermal else ground_state(battery)
     if kernel == "product":
         charger = build_pt_charger(np.pi / 3, n)
-        shifted = site_sum(Operator(charger.site_term + (c / n) * np.eye(2), n_sites=1), n)
+        shifted = from_terms(Terms(n, charger.site_term + (c / n) * np.eye(2), range(n)))
     else:
         charger = rt_charger(*BROKEN, n)
         shifted = Operator(charger.matrix + c * np.eye(2**n), n_sites=n)
@@ -247,7 +247,7 @@ def test_product_kernel_general_site_term(mixed):
     # a term that is neither symmetric, traceless nor Hermitian, so a
     # transposed contraction or a dropped phase would show
     h = np.array([[0.3 + 0.2j, 1.1 - 0.4j], [-0.7j, -1.2 + 0.5j]])
-    charger = site_sum(Operator(h, n_sites=1), 3)
+    charger = from_terms(Terms(3, h, range(3)))
     plain = Operator(charger.matrix, n_sites=3)
     rng = np.random.default_rng(7)
     if mixed:
@@ -1162,16 +1162,38 @@ def test_rt_advantage_persists_with_chain_length(n):
 @pytest.mark.parametrize("gamma_prime,h_prime", [(0.3, 1.5), (1.2, 0.2)])
 def test_k0_route_matches_the_dense_route(n, gamma_prime, h_prime):
     # The unbroken (0.3, 1.5) and broken (1.2, 0.2) phases of the RT ring,
-    # and its Hermitian twin, from the sigma-x ground state.
-    h_b, psi = battery_dynamics._prepare(n)
-    h_b0, psi0 = battery_dynamics._prepare_k0(n)
-    assert h_b0.k0 and h_b0.dim == psi0.dim < h_b.dim
-    for spec in rt_pair(gamma_prime, h_prime, n):
+    # and its Hermitian twin, from the sigma-x ground state: the prepared
+    # blocks against the dense operators of the public builders.
+    specs = rt_pair(gamma_prime, h_prime, n)
+    h_b0, psi0, chargers = battery_dynamics._prepare(n, specs)
+    chargers = list(chargers)
+    h_b = normalize_spectrum(build_noninteracting_battery(n))
+    psi = ground_state(h_b)
+    assert h_b0.k0 and all(c.k0 for c in chargers)
+    assert h_b0.dim == psi0.dim == chargers[0].dim < h_b.dim
+    for spec, h_charge in zip(specs, chargers):
         dense = power_trace(h_b, build_charger(spec), psi, 10.0, 600)
-        block = power_trace(h_b0, battery_dynamics._k0_charger(spec), psi0, 10.0, 600)
+        block = power_trace(h_b0, h_charge, psi0, 10.0, 600)
         assert abs(block.p_max - dense.p_max) < 1e-13
         assert abs(block.t_star - dense.t_star) < 1e-13
         assert np.max(np.abs(block.work - dense.work)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_pt_chargers_on_the_sigma_x_ground_state_chain_in_the_block(monkeypatch, n):
+    # A PT pair on an int battery is taken in the block too.  The block
+    # charger has no site term, so it is chained, never run through the
+    # per-site product kernel, and it matches the dense battery route.
+    specs = pt_pair(np.pi / 3, n)
+    dense = delta_p_max(build_noninteracting_battery(n), *specs, t_max=5.0, n_grid=200)
+
+    def refuse(*args):
+        raise AssertionError("a block charger reached the product kernel")
+
+    monkeypatch.setattr(battery_dynamics, "_product_kernel", refuse)
+    block = delta_p_max(n, *specs, t_max=5.0, n_grid=200)
+    assert abs(block.p_max_nonhermitian - dense.p_max_nonhermitian) < 1e-13
+    assert abs(block.p_max_hermitian - dense.p_max_hermitian) < 1e-13
 
 
 def test_k0_route_builds_no_full_matrix(monkeypatch):
@@ -1195,17 +1217,18 @@ def test_k0_route_builds_no_full_matrix(monkeypatch):
 
 
 def test_only_ground_state_rows_on_the_sigma_x_battery_take_the_k0_route(monkeypatch):
-    # Gibbs rows, PT rows and explicit operators stay dense.
+    # Gibbs rows, PT rows and explicit operators stay dense; a ground-state
+    # row on an int battery takes the block of its battery and both chargers.
     seen = []
-    original = battery_dynamics._prepare_k0
-    monkeypatch.setattr(battery_dynamics, "_prepare_k0", lambda n: seen.append(n) or original(n))
+    original = tensor_core.k0_block
+    monkeypatch.setattr(tensor_core, "k0_block", lambda t: seen.append(t.n) or original(t))
     delta_p_max(3, *rt_pair(0.8, 0.5, 3), init="thermal", beta=1.0, t_max=5.0, n_grid=64)
     delta_p_max(build_noninteracting_battery(3), *rt_pair(0.8, 0.5, 3), t_max=5.0, n_grid=64)
     battery = BatterySpec(J=1.0, gamma=0.0, delta=0.0, h=1.0, n_sites=3)
     delta_p_max(battery, *pt_pair(np.pi / 3, n=3), t_max=5.0, n_grid=64)
     assert seen == []
     delta_p_max(3, *rt_pair(0.8, 0.5, 3), t_max=5.0, n_grid=64)
-    assert seen == [3]
+    assert seen == [3, 3, 3]
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery import battery_dynamics, experiment_cli
+from qbattery import battery_dynamics, experiment_cli, tensor_core
 from qbattery.battery_dynamics import delta_p_max, ergotropy, evolve_normalized, work
 from qbattery.experiment_cli import (
     DEGEN_MARKER,
@@ -587,6 +587,20 @@ def test_oracle_check_powers_take_the_sweep_grid_route(monkeypatch):
     monkeypatch.setattr(battery_dynamics, "_chain_chunks", recording_chain)
     assert run_oracle_check(io.StringIO()) is True
     assert [c for c in chains if c[0] > 1] == [(400, 400)] * 8
+
+
+def test_rt_oracle_cases_assemble_no_dense_rt_operator(monkeypatch):
+    # The RT cases are prepared as an RT sweep row is: the sigma-x battery,
+    # its ground state and both chargers in the translation k = 0 block.
+    rt_cases = [case for case in experiment_cli._oracle_cases() if case[0] == RT]
+    monkeypatch.setattr(experiment_cli, "_oracle_cases", lambda: iter(rt_cases))
+
+    def refuse(terms):
+        raise AssertionError(f"dense assembly on {terms.n} sites")
+
+    monkeypatch.setattr(tensor_core, "_assemble", refuse)
+    checks = experiment_cli._oracle_checks()
+    assert len(checks) == 12 and all(ok for *_, ok in checks)
 
 
 # --- every pipeline end to end ------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.dense_linalg import general_eigenvalues
+from qbattery.dense_linalg import general_eigenvalues, hermitian_eig
 from qbattery.errors import DegenerateGroundStateError
-from qbattery.state_prep import QuantumState
+from qbattery.model_builders import normalize_spectrum
+from qbattery.state_prep import QuantumState, ground_state
 from qbattery.tensor_core import (
     Operator,
     SiteSpectrum,
@@ -16,10 +17,10 @@ from qbattery.tensor_core import (
     _orbits,
     bond_pairs,
     embed_site,
+    from_terms,
     k0_block,
     max_sites,
     pauli,
-    site_sum,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,9 +46,9 @@ def test_embed_site_leftmost_ordering():
     assert np.array_equal(embed_site(pauli("z"), 1, 2).matrix, np.diag([1, -1, 1, -1]).astype(complex))
 
 
-def test_site_sum_matrix_and_term():
+def test_one_term_per_site_matrix_and_term():
     term = SX + 0.4j * SZ
-    op = site_sum(Operator(term, n_sites=1), 3)
+    op = from_terms(Terms(3, term, range(3)))
     want = sum(np.kron(np.kron(np.eye(2**r), term), np.eye(2 ** (2 - r))) for r in range(3))
     assert np.array_equal(op.matrix, want)
     assert np.array_equal(op.site_term, term)
@@ -157,7 +158,7 @@ def test_site_product_places_factors_left_to_right():
     assert np.array_equal(embed_site(pauli("z"), 2, 3).matrix, np.kron(np.eye(4), SZ))
     assert np.array_equal(_assemble(Terms(3, bonds=[(0, 2)], xy=(1.0, 1.0))), np.kron(np.kron(SX, np.eye(2)), SX))
     assert np.array_equal(_assemble(Terms(3, bonds=[(2, 0)], zz=1.0)), np.kron(np.kron(SZ, np.eye(2)), SZ))
-    assert np.array_equal(_assemble(Terms(3, z=1.0)), site_sum(pauli("z"), 3).matrix)
+    assert np.array_equal(_assemble(Terms(3, z=1.0)), from_terms(Terms(3, SZ, range(3))).matrix)
 
 
 def test_site_product_rejects_bad_input(monkeypatch):
@@ -175,7 +176,7 @@ def test_site_product_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
         _assemble(Terms(4))
     with pytest.raises(ValueError):
-        site_sum(pauli("x"), 4)
+        from_terms(Terms(4, SX, range(4)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -208,9 +209,9 @@ def test_site_product_equals_numpy_kron(n):
     for r in range(n):
         assert np.array_equal(embed_site(Operator(term, n_sites=1), r, n).matrix, kron_sites({r: term}, n))
     want = sum(kron_sites({r: term}, n) for r in range(n))
-    assert np.array_equal(site_sum(Operator(term, n_sites=1), n).matrix, want)
+    assert np.array_equal(from_terms(Terms(n, term, range(n))).matrix, want)
     for axis in ("x", "y", "z"):
-        assert np.array_equal(site_sum(pauli(axis), n).matrix, sum(kron_sites({r: pauli(axis).matrix}, n) for r in range(n)))
+        assert np.array_equal(from_terms(Terms(n, pauli(axis).matrix, range(n))).matrix, sum(kron_sites({r: pauli(axis).matrix}, n) for r in range(n)))
 
 
 # --- finiteness -------------------------------------------------------------------
@@ -314,6 +315,21 @@ def test_k0_operator_dimension():
         Operator(np.eye(6), n_sites=40, k0=True)
 
 
+def test_a_block_operator_is_normalized_and_solved_in_the_block():
+    # With or without its term list, the k = 0 block of the sigma-x battery
+    # is normalized, diagonalized and given its ground state as a block.
+    terms = Terms(4, SX, range(4))
+    for op in (Operator(k0_block(terms), n_sites=4, k0=True), from_terms(terms, k0=True)):
+        assert op.k0 and op.dim == 6 and op.site_term is None
+        h_b = normalize_spectrum(op)
+        assert h_b.k0 and h_b.dim == 6
+        assert abs(h_b.spectrum.values[0] + 1.0) < 1e-14 and abs(h_b.spectrum.values[-1] - 1.0) < 1e-14
+        psi = ground_state(h_b).data
+        assert np.max(np.abs(h_b.matrix @ psi + psi)) < 1e-13
+        vals = hermitian_eig(h_b, compute_vectors=False).values
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(h_b.matrix))) < 1e-13
+
+
 # --- spectra from a site term -------------------------------------------------------
 
 
@@ -329,33 +345,41 @@ SITE_TERMS = [
 @pytest.mark.parametrize("k", range(len(SITE_TERMS)))
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_site_spectrum_matches_the_dense_matrix(k, n):
-    op = site_sum(Operator(SITE_TERMS[k], n_sites=1), n)
-    spec = op.spectrum
-    assert isinstance(spec, SiteSpectrum)
-    h = op.matrix
-    assert np.max(np.abs(spec.values - np.linalg.eigvalsh(h))) < 1e-13
-    v = spec.vectors
-    assert np.max(np.abs(v.conj().T @ v - np.eye(h.shape[0]))) < 1e-14
-    assert np.max(np.abs(h @ v - v * spec.values)) < 1e-13
-    g = spec.ground
-    assert abs(np.linalg.norm(g) - 1.0) < 1e-15
-    assert np.max(np.abs(h @ g - spec.values[0] * g)) < 1e-13
-    assert not any(a.flags.writeable for a in (spec.values, v, g))
+    # The full operator, then its translation k = 0 block, which has no
+    # eigenvectors to give (a Gibbs state leaves the block).
+    terms = Terms(n, SITE_TERMS[k], range(n))
+    for op in (from_terms(terms), from_terms(terms, k0=True)):
+        spec = op.spectrum
+        assert isinstance(spec, SiteSpectrum)
+        h = op.matrix
+        assert np.max(np.abs(spec.values - np.linalg.eigvalsh(h))) < 1e-13
+        g = spec.ground
+        assert abs(np.linalg.norm(g) - 1.0) < 1e-15
+        assert np.max(np.abs(h @ g - spec.values[0] * g)) < 1e-13
+        assert not any(a.flags.writeable for a in (spec.values, g))
+        if op.k0:
+            with pytest.raises(ValueError, match="k = 0 block"):
+                spec.vectors
+            continue
+        v = spec.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(h.shape[0]))) < 1e-14
+        assert np.max(np.abs(h @ v - v * spec.values)) < 1e-13
+        assert not v.flags.writeable
 
 
 def test_site_spectrum_affine_map_and_degenerate_site():
-    spec = site_sum(pauli("x"), 3).spectrum
+    spec = from_terms(Terms(3, SX, range(3))).spectrum
     mapped = spec._affine(0.5, 0.25)
     assert np.array_equal(mapped.values, 0.5 * spec.values + 0.25)
     assert np.array_equal(mapped.ground, spec.ground)
-    flat = site_sum(Operator(2.0 * np.eye(2), n_sites=1), 3).spectrum
+    flat = from_terms(Terms(3, 2.0 * np.eye(2), range(3))).spectrum
     assert np.array_equal(flat.values, np.full(8, 6.0))
     with pytest.raises(DegenerateGroundStateError):
         flat.ground
 
 
 def test_only_a_hermitian_site_term_skips_the_eigensolve():
-    pt = site_sum(Operator(SX + 0.5j * SZ, n_sites=1), 2)
+    pt = from_terms(Terms(2, SX + 0.5j * SZ, range(2)))
     with pytest.raises(ValueError, match="not Hermitian"):
         pt.spectrum
     assert not isinstance(embed_site(pauli("x"), 0, 2).spectrum, SiteSpectrum)
